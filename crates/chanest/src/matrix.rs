@@ -158,6 +158,17 @@ impl FxMat4 {
         Self { m }
     }
 
+    /// Row `r` as four contiguous words: the lanes one zero-forcing
+    /// output stream reads per carrier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= 4`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[CQ16; 4] {
+        &self.m[r]
+    }
+
     /// Conjugate transpose.
     pub fn hermitian(&self) -> Self {
         Self::from_fn(|r, c| self.m[c][r].conj())

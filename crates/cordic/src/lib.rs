@@ -14,6 +14,9 @@
 //! and cycle-accurate pipelined wrappers ([`PipelinedVectoring`],
 //! [`PipelinedRotator`]) whose latency matches the paper's 20 cycles
 //! (18 micro-rotations + input register + gain-compensation stage).
+//! For the receiver's per-carrier corrections, the engine also rotates
+//! [`LANES`] vectors per call: by one shared angle through a
+//! [`RotationPlan`], or by one angle per lane.
 //!
 //! # Examples
 //!
@@ -30,7 +33,7 @@
 mod engine;
 mod pipeline;
 
-pub use engine::{Cordic, Rotated, Vectored};
+pub use engine::{Cordic, Rotated, RotationPlan, Vectored, LANES};
 pub use pipeline::{PipelinedRotator, PipelinedVectoring};
 
 /// Pipeline latency, in clock cycles, of each CORDIC element in the

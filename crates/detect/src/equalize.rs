@@ -85,31 +85,13 @@ impl ZfDetector {
         h_inv: &[FxMat4],
         rx: &[Vec<CQ15>],
     ) -> Result<Vec<Vec<CQ15>>, DetectError> {
-        if rx.len() != 4 {
-            return Err(DetectError::BadStreamCount(rx.len()));
-        }
-        for stream in rx {
-            if stream.len() != h_inv.len() {
-                return Err(DetectError::CarrierMismatch {
-                    expected: h_inv.len(),
-                    got: stream.len(),
-                });
-            }
-        }
-        let mut out: Vec<Vec<CQ15>> =
-            (0..4).map(|_| Vec::with_capacity(h_inv.len())).collect();
-        for (s, inv) in h_inv.iter().enumerate() {
-            let r: [CQ16; 4] = [
-                rx[0][s].convert(),
-                rx[1][s].convert(),
-                rx[2][s].convert(),
-                rx[3][s].convert(),
-            ];
-            let y = inv.mul_vec(&r);
-            for (k, stream) in out.iter_mut().enumerate() {
-                let narrow: CFx<15> = y[k].convert();
-                stream.push(narrow.saturate_bits(SAMPLE_BITS));
-            }
+        let rx: &[Vec<CQ15>; 4] = rx
+            .try_into()
+            .map_err(|_| DetectError::BadStreamCount(rx.len()))?;
+        let lanes = rx.each_ref().map(Vec::as_slice);
+        let mut out = vec![vec![CQ15::ZERO; h_inv.len()]; 4];
+        for (k, stream) in out.iter_mut().enumerate() {
+            self.detect_stream_into(h_inv, &lanes, k, stream)?;
         }
         Ok(out)
     }
@@ -150,18 +132,31 @@ impl ZfDetector {
                 got: out.len(),
             });
         }
-        for (s, inv) in h_inv.iter().enumerate() {
-            let mut acc: CQ16 = CFx::ZERO;
-            for (j, antenna) in rx.iter().enumerate() {
-                let r: CQ16 = antenna[s].convert();
-                acc += inv[(stream, j)] * r;
-            }
-            let narrow: CFx<15> = acc.convert();
-            out[s] = narrow.saturate_bits(SAMPLE_BITS);
+        let [r0, r1, r2, r3] = *rx;
+        let lanes = h_inv.iter().zip(r0).zip(r1).zip(r2).zip(r3);
+        // phylint: hot
+        for (o, ((((inv, &a), &b), &c), &d)) in out.iter_mut().zip(lanes) {
+            *o = zf_carrier(inv.row(stream), [a, b, c, d]);
         }
+        // phylint: end-hot
         Ok(())
     }
 }
+
+/// One carrier of one ZF output stream: `Σ_j row[j] · r[j]` on the
+/// Q2.16 datapath, rounded onto the 16-bit Q1.15 bus.
+// phylint: hot
+#[inline]
+fn zf_carrier(row: &[CQ16; 4], r: [CQ15; 4]) -> CQ15 {
+    let mut acc: CQ16 = CFx::ZERO;
+    for (&h, x) in row.iter().zip(r) {
+        let x: CQ16 = x.convert();
+        acc += h * x;
+    }
+    let narrow: CFx<15> = acc.convert();
+    narrow.saturate_bits(SAMPLE_BITS)
+}
+// phylint: end-hot
 
 /// The SISO baseline equalizer: "the corresponding channel estimate is
 /// read from the channel estimation memory block and equalization is

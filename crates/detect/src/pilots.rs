@@ -9,8 +9,46 @@
 //! used [so that] as the time correction is performed on each
 //! incrementing subcarrier, the Tau value is also incremented using a
 //! feedback adder." (§IV.B)
+//!
+//! # Fast correction kernels
+//!
+//! Both corrections run [`LANES`] carriers at a time through the lane
+//! kernels of `mimo_cordic` ([`Cordic::rotate_lanes`] and
+//! [`RotationPlan::rotate_lanes`](mimo_cordic::RotationPlan::rotate_lanes)):
+//!
+//! * **Shared-angle plan.** The common phase correction rotates every
+//!   carrier of a symbol by the same `-φ`. The angle wrap, quadrant
+//!   choice and all 18 micro-rotation directions depend only on that
+//!   angle, so [`PilotPhaseCorrector::correct_in_place`] computes one
+//!   [`RotationPlan`](mimo_cordic::RotationPlan) per symbol and
+//!   applies it to all carriers. Only the `x`/`y` adds run per carrier.
+//! * **Lane batches.** The timing correction's angle `l·τ` differs per
+//!   carrier, so [`TimingCorrector::correct_in_place`] runs the full
+//!   CORDIC (angle path included) on batches of carriers, one lane
+//!   each.
+//!
+//! **Range guard.** The lane kernels work on `i32` words when every
+//! Q2.16 input word of the batch is below `2^17` in magnitude. That
+//! holds for any carrier on the 16-bit bus, because widening Q1.15 to
+//! Q2.16 gives `|raw| <= 2^16`. The CORDIC growth bound keeps the
+//! lanes below `2^20`. A batch holding a wider carrier takes a
+//! `#[cold]` per-carrier fallback to [`Cordic::rotate`].
+//!
+//! **Bit-identity.** The corrected carriers equal the per-carrier
+//! `Cordic::rotate` form bit for bit, for three reasons:
+//!
+//! * A plan replays exactly the adds that `rotate` would choose for
+//!   its angle.
+//! * The sign-mask micro-rotation is the same adder as the branching
+//!   one.
+//! * Within the guard no word overflows.
+//!
+//! Padding lanes of a short final batch hold zero carriers and are
+//! never written back. `crates/detect/tests/proptests.rs` checks the
+//! kernels against the per-carrier form on arbitrary carriers,
+//! saturated and out-of-range ones included.
 
-use mimo_cordic::Cordic;
+use mimo_cordic::{Cordic, LANES};
 use mimo_fixed::{CFx, CQ15, Cf64, Q16, SAMPLE_BITS};
 
 /// Common (symbol-wide) phase correction from the de-scrambled pilot
@@ -62,13 +100,36 @@ impl PilotPhaseCorrector {
 
     /// In-place [`PilotPhaseCorrector::correct`]: the hot path rotates
     /// the equalized symbol buffer it already owns, allocating nothing.
+    // phylint: hot
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
-        for c in carriers.iter_mut() {
-            let wide: CFx<16> = c.convert();
-            let rotated = self.cordic.rotate(wide.re, wide.im, -phase);
-            let narrow: CFx<15> = CFx::new(rotated.x, rotated.y).convert();
-            *c = narrow.saturate_bits(SAMPLE_BITS);
+        let plan = self.cordic.plan(-phase);
+        for batch in carriers.chunks_mut(LANES) {
+            let (mut x, mut y) = widen_lanes(batch);
+            plan.rotate_lanes(&mut x, &mut y);
+            narrow_lanes(&x, &y, batch);
         }
+    }
+    // phylint: end-hot
+}
+
+/// Loads up to [`LANES`] carriers onto Q2.16 lanes (zero-padded).
+#[inline(always)]
+fn widen_lanes(batch: &[CQ15]) -> ([Q16; LANES], [Q16; LANES]) {
+    let mut x = [Q16::ZERO; LANES];
+    let mut y = [Q16::ZERO; LANES];
+    for ((xk, yk), c) in x.iter_mut().zip(y.iter_mut()).zip(batch) {
+        let wide: CFx<16> = c.convert();
+        (*xk, *yk) = (wide.re, wide.im);
+    }
+    (x, y)
+}
+
+/// Rounds rotated lanes back onto the 16-bit Q1.15 bus.
+#[inline(always)]
+fn narrow_lanes(x: &[Q16; LANES], y: &[Q16; LANES], batch: &mut [CQ15]) {
+    for ((c, &xk), &yk) in batch.iter_mut().zip(x).zip(y) {
+        let narrow: CFx<15> = CFx::new(xk, yk).convert();
+        *c = narrow.saturate_bits(SAMPLE_BITS);
     }
 }
 
@@ -155,25 +216,42 @@ impl TimingCorrector {
     pub fn correct_in_place(&self, carriers: &mut [CQ15], indices: &[i32], tau: f64) {
         debug_assert_eq!(carriers.len(), indices.len());
         let tau_q = Q16::from_f64(tau);
-        for (c, &l) in carriers.iter_mut().zip(indices) {
-            // Running adder: angle = l · tau accumulated in Q2.16.
-            let angle = Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
-            let wide: CFx<16> = c.convert();
-            *c = if self.small_angle {
+        if self.small_angle {
+            for (c, &l) in carriers.iter_mut().zip(indices) {
+                let angle = running_angle(tau_q, l);
+                let wide: CFx<16> = c.convert();
                 // Paper's approximation: re += angle·im-ish terms
                 // reduce to adding tau_l to I and subtracting from
                 // Q scaled by the component magnitudes.
                 let re = wide.re + wide.im.mul(angle);
                 let im = wide.im - wide.re.mul(angle);
                 let narrow: CFx<15> = CFx::new(re, im).convert();
-                narrow.saturate_bits(SAMPLE_BITS)
-            } else {
-                let rotated = self.cordic.rotate(wide.re, wide.im, -angle);
-                let narrow: CFx<15> = CFx::new(rotated.x, rotated.y).convert();
-                narrow.saturate_bits(SAMPLE_BITS)
-            };
+                *c = narrow.saturate_bits(SAMPLE_BITS);
+            }
+            return;
         }
+        let n = carriers.len().min(indices.len());
+        // phylint: hot
+        for (batch, ls) in carriers[..n]
+            .chunks_mut(LANES)
+            .zip(indices[..n].chunks(LANES))
+        {
+            let mut angle = [Q16::ZERO; LANES];
+            for (a, &l) in angle.iter_mut().zip(ls) {
+                *a = -running_angle(tau_q, l);
+            }
+            let (mut x, mut y) = widen_lanes(batch);
+            self.cordic.rotate_lanes(&mut x, &mut y, &angle);
+            narrow_lanes(&x, &y, batch);
+        }
+        // phylint: end-hot
     }
+}
+
+/// Running adder: the angle `l · tau` accumulated in Q2.16.
+#[inline(always)]
+fn running_angle(tau: Q16, l: i32) -> Q16 {
+    Q16::from_raw(tau.raw().saturating_mul(i64::from(l)))
 }
 
 #[cfg(test)]

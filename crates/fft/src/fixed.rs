@@ -1,9 +1,50 @@
 //! Bit-accurate fixed-point radix-2 FFT/IFFT core.
+//!
+//! # Fast butterflies
+//!
+//! [`FixedFft::new`] precomputes everything that depends only on the
+//! size:
+//!
+//! * the bit-reverse order, so the input is gathered straight into
+//!   butterfly order instead of being copied and then swapped;
+//! * one contiguous twiddle table per stage, so stage `len` walks its
+//!   `len/2` twiddles with unit stride instead of striding through the
+//!   `N/2`-entry ROM.
+//!
+//! **Range guard.** A block whose input words all satisfy
+//! `|raw| < 2^28` runs its butterflies on plain `i64` multiplies and
+//! adds with the branchless [`round_shr`]. The proof that nothing can
+//! overflow: every twiddle component is at most `2^15` in magnitude,
+//! so a rounded product `round(w·t / 2^15)` is at most `|w|`. One
+//! radix-2 stage therefore grows the largest component by at most 3×
+//! (`|u ± (w·t)| <= |u| + |w.re| + |w.im|`). Over the at most 12 stages
+//! of a 4096-point transform, every product stays below
+//! `3^11 · 2^28 · 2^15 < 2^61`, and every sum below `3^12 · 2^28 < 2^48`.
+//! None of them reaches the `i64` limits where the generic saturating
+//! [`CFx`](mimo_fixed::CFx) operators start clamping. A block with a
+//! wider input word takes a `#[cold]` fallback that runs those generic
+//! operators.
+//!
+//! **Bit-identity.** Both paths compute the same sequence of rounded
+//! products and sums as the original in-place radix-2 loop:
+//!
+//! * the same twiddle words, in the same order;
+//! * the same rounding, because [`round_shr`] equals the rounding of
+//!   `Fx::mul`;
+//! * no saturation inside the guard.
+//!
+//! `crates/fft/tests/proptests.rs` checks both paths against a copy of
+//! that loop for every size from 8 to 4096, forward and inverse,
+//! including saturated and out-of-range inputs.
 
 use std::error::Error;
 use std::fmt;
 
-use mimo_fixed::{CQ15, Cf64, SAMPLE_BITS};
+use mimo_fixed::{round_shr, Cf64, Fx, CQ15, SAMPLE_BITS};
+
+/// Input words below this magnitude (raw) take the `i64` butterflies
+/// (see the module docs).
+const FAST_LIMIT: u64 = 1 << 28;
 
 /// Errors produced by the fixed-point FFT core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +139,12 @@ impl FftScaling {
 pub struct FixedFft {
     size: usize,
     scaling: FftScaling,
-    /// Twiddles e^{-j2πk/N} for k in 0..N/2, quantized to Q1.15.
-    twiddles: Vec<CQ15>,
+    /// `input[bit_reverse[i]]` is butterfly input `i`.
+    bit_reverse: Vec<u16>,
+    /// Per-stage twiddle tables, concatenated: stage `len` (2, 4, …, N)
+    /// holds `e^{-j2πi/len}` for `i in 0..len/2`, quantized to Q1.15,
+    /// starting at offset `len/2 - 1`.
+    stage_twiddles: Vec<CQ15>,
 }
 
 impl FixedFft {
@@ -123,13 +168,30 @@ impl FixedFft {
         if !crate::is_supported_size(n) {
             return Err(FftError::UnsupportedSize(n));
         }
-        let twiddles = (0..n / 2)
+        // The twiddle ROM: e^{-j2πk/N} for k in 0..N/2.
+        let rom: Vec<CQ15> = (0..n / 2)
             .map(|k| {
                 let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
                 Cf64::from_polar(1.0, ang).to_fixed::<15>().saturate_bits(SAMPLE_BITS)
             })
             .collect();
-        Ok(Self { size: n, scaling, twiddles })
+        let mut stage_twiddles = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let step = n / len;
+            stage_twiddles.extend((0..len / 2).map(|i| rom[i * step]));
+            len <<= 1;
+        }
+        let bits = n.trailing_zeros();
+        let bit_reverse = (0..n)
+            .map(|i| (i.reverse_bits() >> (usize::BITS - bits)) as u16)
+            .collect();
+        Ok(Self {
+            size: n,
+            scaling,
+            bit_reverse,
+            stage_twiddles,
+        })
     }
 
     /// Transform size.
@@ -207,39 +269,19 @@ impl FixedFft {
                 got: out.len(),
             });
         }
-        let n = self.size;
         // Work in the wide backing (CQ15 carries i64 raws); saturate
         // only at the output register.
         let data = out;
-        data.copy_from_slice(input);
-        // Bit-reversal permutation.
-        let mut j = 0usize;
-        for i in 0..n {
-            if i < j {
-                data.swap(i, j);
-            }
-            let mut m = n >> 1;
-            while m >= 1 && j & m != 0 {
-                j ^= m;
-                m >>= 1;
-            }
-            j |= m;
+        for (d, &src) in data.iter_mut().zip(&self.bit_reverse) {
+            *d = input[usize::from(src)];
         }
-        let mut len = 2;
-        while len <= n {
-            let step = n / len;
-            for chunk in data.chunks_mut(len) {
-                let half = len / 2;
-                for i in 0..half {
-                    let tw = self.twiddles[i * step];
-                    let tw = if inverse { tw.conj() } else { tw };
-                    let u = chunk[i];
-                    let v = chunk[i + half] * tw;
-                    chunk[i] = u + v;
-                    chunk[i + half] = u - v;
-                }
-            }
-            len <<= 1;
+        let narrow = input.iter().fold(0u64, |m, c| {
+            m | c.re.raw().unsigned_abs() | c.im.raw().unsigned_abs()
+        });
+        match (narrow < FAST_LIMIT, inverse) {
+            (true, false) => self.butterflies::<false>(data),
+            (true, true) => self.butterflies::<true>(data),
+            (false, _) => self.butterflies_generic(data, inverse),
         }
         let shift = if inverse {
             self.scaling.inverse_shift
@@ -250,6 +292,53 @@ impl FixedFft {
             *c = c.shr_round(shift).saturate_bits(SAMPLE_BITS);
         }
         Ok(())
+    }
+
+    /// The radix-2 stages on plain `i64` arithmetic, for blocks inside
+    /// the range guard. `INVERSE` conjugates the twiddles.
+    // phylint: hot
+    fn butterflies<const INVERSE: bool>(&self, data: &mut [CQ15]) {
+        let mut len = 2;
+        while len <= self.size {
+            let half = len / 2;
+            let twiddles = &self.stage_twiddles[half - 1..len - 1];
+            for chunk in data.chunks_exact_mut(len) {
+                let (top, bottom) = chunk.split_at_mut(half);
+                for ((u, w), t) in top.iter_mut().zip(bottom.iter_mut()).zip(twiddles) {
+                    let (tr, ti) = (t.re.raw(), t.im.raw());
+                    let ti = if INVERSE { -ti } else { ti };
+                    let (wr, wi) = (w.re.raw(), w.im.raw());
+                    let vr = round_shr(wr * tr, 15) - round_shr(wi * ti, 15);
+                    let vi = round_shr(wr * ti, 15) + round_shr(wi * tr, 15);
+                    let (ur, ui) = (u.re.raw(), u.im.raw());
+                    *u = CQ15::new(Fx::from_raw(ur + vr), Fx::from_raw(ui + vi));
+                    *w = CQ15::new(Fx::from_raw(ur - vr), Fx::from_raw(ui - vi));
+                }
+            }
+            len <<= 1;
+        }
+    }
+    // phylint: end-hot
+
+    /// The radix-2 stages on the generic saturating [`CQ15`] operators,
+    /// for blocks with a word outside the range guard.
+    #[cold]
+    #[inline(never)]
+    fn butterflies_generic(&self, data: &mut [CQ15], inverse: bool) {
+        let mut len = 2;
+        while len <= self.size {
+            let half = len / 2;
+            let twiddles = &self.stage_twiddles[half - 1..len - 1];
+            for chunk in data.chunks_exact_mut(len) {
+                let (top, bottom) = chunk.split_at_mut(half);
+                for ((u, w), &t) in top.iter_mut().zip(bottom.iter_mut()).zip(twiddles) {
+                    let t = if inverse { t.conj() } else { t };
+                    let v = *w * t;
+                    (*u, *w) = (*u + v, *u - v);
+                }
+            }
+            len <<= 1;
+        }
     }
 }
 

@@ -206,8 +206,7 @@ impl<const FRAC: u32> Fx<FRAC> {
         if F2 >= FRAC {
             Fx::from_raw(self.raw << (F2 - FRAC))
         } else {
-            let shift = FRAC - F2;
-            Fx::from_raw(round_shift_right(self.raw, shift))
+            Fx::from_raw(round_shr(self.raw, FRAC - F2))
         }
     }
 
@@ -223,8 +222,10 @@ impl<const FRAC: u32> Fx<FRAC> {
     #[inline]
     #[allow(clippy::should_implement_trait)] // `Mul` is also implemented; the named form reads better in DSP chains
     pub fn mul(self, rhs: Self) -> Self {
-        let wide = self.raw as i128 * rhs.raw as i128;
-        Self::from_raw(round_shift_right_i128(wide, FRAC))
+        match self.raw.checked_mul(rhs.raw) {
+            Some(product) => Self::from_raw(round_shr(product, FRAC)),
+            None => Self::from_raw(mul_wide(self.raw, rhs.raw, FRAC)),
+        }
     }
 
     /// Fixed-point divide: `(self << FRAC) / rhs` with round-to-nearest,
@@ -262,34 +263,56 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// "divide by 2^n" used e.g. by the LTS averager (`+ ÷2` in Fig 5).
     #[inline]
     pub fn shr_round(self, shift: u32) -> Self {
-        Self::from_raw(round_shift_right(self.raw, shift))
+        Self::from_raw(round_shr(self.raw, shift))
     }
 }
 
-/// Rounding arithmetic shift right (round half away from zero).
-#[inline]
-fn round_shift_right(value: i64, shift: u32) -> i64 {
+/// Arithmetic shift right by `shift` (`0..=63`), rounding half away
+/// from zero: the hardware "discard LSBs with round" idiom every
+/// fixed-point multiply, format conversion and scaling shift uses.
+///
+/// Branchless and overflow-free over the whole `i64` range, so the
+/// per-carrier kernels can inline it without a saturation net. Both
+/// halves of the piecewise form are computed and one is selected:
+///
+/// * `v >= 0`: `(v >> s) + ((v >> (s - 1)) & 1)`, the truncated
+///   quotient plus the first discarded bit (no add can overflow);
+/// * `v < 0`: `(v + 2^(s-1) - 1) >> s`, which cannot overflow for a
+///   negative `v`. For `v >= 0` it may wrap, but is then discarded.
+///
+/// ```
+/// use mimo_fixed::round_shr;
+/// assert_eq!(round_shr(3, 1), 2); // 1.5 -> 2
+/// assert_eq!(round_shr(-3, 1), -2); // -1.5 -> -2
+/// assert_eq!(round_shr(-5, 2), -1); // -1.25 -> -1
+/// assert_eq!(round_shr(i64::MAX, 1), 1 << 62);
+/// assert_eq!(round_shr(i64::MIN, 1), -(1 << 62));
+/// ```
+#[inline(always)]
+pub fn round_shr(value: i64, shift: u32) -> i64 {
     if shift == 0 {
         return value;
     }
-    let half = 1i64 << (shift - 1);
-    if value >= 0 {
-        (value + half) >> shift
-    } else {
-        -(((-value) + half) >> shift)
-    }
+    let up = (value >> shift) + ((value >> (shift - 1)) & 1);
+    let down = value.wrapping_add((1i64 << (shift - 1)) - 1) >> shift;
+    std::hint::select_unpredictable(value < 0, down, up)
 }
 
-#[inline]
-fn round_shift_right_i128(value: i128, shift: u32) -> i64 {
+/// The `i128` product path of [`Fx::mul`] for operands whose product
+/// overflows `i64`: the same rounding, then saturation to `i64`.
+#[cold]
+#[inline(never)]
+fn mul_wide(a: i64, b: i64, shift: u32) -> i64 {
+    let wide = a as i128 * b as i128;
     if shift == 0 {
-        return clamp_i128(value);
+        return clamp_i128(wide);
     }
     let half = 1i128 << (shift - 1);
-    let shifted = if value >= 0 {
-        (value + half) >> shift
+    // |a·b| <= 2^126, so neither `wide ± half` nor the negation overflows.
+    let shifted = if wide >= 0 {
+        (wide + half) >> shift
     } else {
-        -(((-value) + half) >> shift)
+        -((half - wide) >> shift)
     };
     clamp_i128(shifted)
 }
@@ -500,6 +523,50 @@ mod tests {
         assert_eq!(Q15::from_raw(-3).shr_round(1).raw(), -2);
         // Plain shift truncates toward -inf instead.
         assert_eq!((Q15::from_raw(3) >> 1).raw(), 1);
+    }
+
+    #[test]
+    fn shr_round_exact_at_i64_extremes() {
+        // The rounding add used to overflow here: a panic under
+        // overflow checks, a sign flip when wrapping.
+        assert_eq!(Q15::from_raw(i64::MIN).shr_round(1).raw(), -(1 << 62));
+        assert_eq!(Q15::from_raw(i64::MAX).shr_round(1).raw(), 1 << 62);
+        assert_eq!(Q15::from_raw(i64::MIN).shr_round(63).raw(), -1);
+        assert_eq!(Q15::from_raw(i64::MAX).shr_round(63).raw(), 1);
+        assert_eq!(Q15::from_raw(i64::MIN + 1).shr_round(63).raw(), -1);
+        let narrowed: Q15 = Q16::from_raw(i64::MAX).convert();
+        assert_eq!(narrowed.raw(), 1 << 62);
+        let narrowed: Q15 = Q16::from_raw(i64::MIN).convert();
+        assert_eq!(narrowed.raw(), -(1 << 62));
+    }
+
+    #[test]
+    fn round_shr_ties_away_from_zero() {
+        for (v, s, want) in [
+            (1, 1, 1),
+            (-1, 1, -1),
+            (2, 2, 1),
+            (-2, 2, -1),
+            (5, 1, 3),
+            (-5, 1, -3),
+        ] {
+            assert_eq!(round_shr(v, s), want, "{v} >> {s}");
+        }
+        // Just below half an output LSB rounds toward zero.
+        assert_eq!(round_shr(1, 2), 0);
+        assert_eq!(round_shr(-1, 2), 0);
+        assert_eq!(round_shr(7, 0), 7);
+    }
+
+    #[test]
+    fn mul_saturates_when_the_product_leaves_i64() {
+        let big = Fx::<0>::from_raw(i64::MAX);
+        assert_eq!(big.mul(big).raw(), i64::MAX);
+        assert_eq!(big.mul(-big).raw(), i64::MIN);
+        // A product past i64 whose rounded result still fits is exact.
+        let (a, b) = (Q16::from_raw((1 << 40) + 1), Q16::from_raw(-(1 << 30)));
+        assert_eq!(a.mul(b).raw(), -(1 << 54) - (1 << 14));
+        assert_eq!(a.mul(a).raw(), i64::MAX);
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod fx;
 
 pub use complex::CFx;
 pub use float::Cf64;
-pub use fx::{Fx, FxError};
+pub use fx::{round_shr, Fx, FxError};
 
 /// Q1.15: the paper's 16-bit sample format (range [-1, 1)).
 pub type Q15 = Fx<15>;

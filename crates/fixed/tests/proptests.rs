@@ -1,6 +1,6 @@
 //! Property-based tests for the fixed-point substrate.
 
-use mimo_fixed::{CFx, Fx, Q15};
+use mimo_fixed::{round_shr, CFx, Fx, Q15};
 use proptest::prelude::*;
 
 /// Raw values that fit comfortably inside a 16-bit bus.
@@ -110,5 +110,64 @@ proptest! {
         let back = q.mul(fb);
         // Error grows with 1/b; bound loosely by a few LSB.
         prop_assert!((back.to_f64() - fa.to_f64()).abs() <= 4.0 / (1u64 << 16) as f64);
+    }
+}
+
+/// Round-half-away-from-zero shift evaluated in `i128`, where the
+/// rounding add cannot overflow: the reference for [`round_shr`].
+fn round_shr_i128(value: i64, shift: u32) -> i64 {
+    if shift == 0 {
+        return value;
+    }
+    let v = i128::from(value);
+    let half = 1i128 << (shift - 1);
+    let r = if v >= 0 {
+        (v + half) >> shift
+    } else {
+        -((half - v) >> shift)
+    };
+    r as i64
+}
+
+/// Raw values biased toward the `i64` extremes and rounding ties.
+fn edge_raw() -> impl Strategy<Value = i64> {
+    (0u8..4, any::<i64>(), 0i64..64, 1u32..63, any::<bool>()).prop_map(|(kind, v, k, s, neg)| {
+        match kind {
+            0 => v,
+            1 => i64::MIN + k,
+            2 => i64::MAX - k,
+            // An exact rounding tie at shift `s`.
+            _ => {
+                let tie = (1i64 << (s - 1)) + (v << s);
+                if neg {
+                    tie.wrapping_neg()
+                } else {
+                    tie
+                }
+            }
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The branchless shift equals the wide reference on the whole
+    /// `i64` range, extremes included.
+    #[test]
+    fn round_shr_matches_wide_reference(v in edge_raw(), shift in 0u32..64) {
+        prop_assert_eq!(round_shr(v, shift), round_shr_i128(v, shift));
+        prop_assert_eq!(Fx::<0>::from_raw(v).shr_round(shift).raw(), round_shr_i128(v, shift));
+    }
+
+    /// `Fx::mul` equals the saturated `i128` product on any operands,
+    /// whichever of its two paths runs.
+    #[test]
+    fn mul_matches_wide_reference(a in edge_raw(), b in edge_raw()) {
+        let wide = i128::from(a) * i128::from(b);
+        let half = 1i128 << 14;
+        let r = if wide >= 0 { (wide + half) >> 15 } else { -((half - wide) >> 15) };
+        let want = r.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
+        prop_assert_eq!(Q15::from_raw(a).mul(Q15::from_raw(b)).raw(), want);
     }
 }
