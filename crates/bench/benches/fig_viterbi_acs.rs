@@ -2,10 +2,10 @@
 //!
 //! Decoded information bits per second of the Viterbi backends — the
 //! reference scalar kernel, the radix-2 butterfly kernel (branch
-//! metric table + ping-pong `i32` rows + `u64` survivor bitmasks), the
-//! 8-lane SIMD butterfly tier, and the 64-burst bitsliced batch kernel
-//! — on terminated K=7 blocks at burst-representative sizes, with hard
-//! (±`HARD_LLR`) and noisy soft inputs.
+//! metric table + ping-pong `i32` rows + `u64` survivor bitmasks) and
+//! the 8-lane SIMD butterfly tier — on terminated K=7 blocks at
+//! burst-representative sizes, with hard (±`HARD_LLR`) and noisy soft
+//! inputs.
 //!
 //! The ACS recursion is ~70 % of burst decode time in the software
 //! model, so this microbench isolates the kernel the `fig_sw_throughput`
@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mimo_coding::{
-    hard_to_llr, BatchKernel, BatchViterbiWorkspace, CodeSpec, ConvolutionalEncoder, Llr,
-    ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
+    hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel,
+    ViterbiWorkspace,
 };
 use rand::Rng;
 use rand_chacha::{rand_core::SeedableRng, ChaCha8Rng};
@@ -30,9 +30,6 @@ use rand_chacha::{rand_core::SeedableRng, ChaCha8Rng};
 /// per-stream burst block (2 KiB payload per stream at the gigabit
 /// operating point).
 const BLOCK_BITS: [usize; 2] = [1152, 16384];
-
-/// Bursts decoded simultaneously by the bitsliced batch kernel.
-const BATCH: usize = 64;
 
 /// Deterministic info bits.
 fn info_bits(n: usize) -> Vec<u8> {
@@ -77,34 +74,6 @@ fn measure_bits_per_sec(
         decodes += 1;
     }
     decodes as f64 * info_len as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Aggregate decoded bits per second of the bitsliced batch kernel
-/// (explicitly requested — `Auto` would pick per-block SIMD here) over
-/// `BATCH` simultaneous copies of the block.
-fn measure_batch_bits_per_sec(
-    dec: &ViterbiDecoder,
-    soft: &[Llr],
-    info_len: usize,
-    budget: Duration,
-) -> f64 {
-    let blocks: Vec<&[Llr]> = (0..BATCH).map(|_| soft).collect();
-    let mut ws = BatchViterbiWorkspace::new();
-    dec.decode_terminated_batch_with(BatchKernel::Bitsliced, &blocks, &mut ws)
-        .expect("batch decode");
-    for out in ws.outputs() {
-        assert_eq!(out.len(), info_len, "batch decode length mismatch");
-    }
-
-    let start = Instant::now();
-    let mut decodes = 0u64;
-    while start.elapsed() < budget || decodes < 3 {
-        dec.decode_terminated_batch_with(BatchKernel::Bitsliced, &blocks, &mut ws)
-            .expect("batch decode");
-        criterion::black_box(ws.outputs().len());
-        decodes += 1;
-    }
-    decodes as f64 * (BATCH * info_len) as f64 / start.elapsed().as_secs_f64()
 }
 
 fn run_kernel(
@@ -166,24 +135,15 @@ fn bench(c: &mut Criterion) {
         for (input, noisy) in [("hard", false), ("soft", true)] {
             let soft = coded_llrs(&info, noisy);
             let mut line = format!("{bits:>6}-bit block, {input}:");
-            let mut scalar_bps = 0.0;
-            for (name, kernel) in kernels {
+            let mut rates = [0.0; 3];
+            for ((name, kernel), rate) in kernels.into_iter().zip(&mut rates) {
                 let bps = measure_bits_per_sec(&dec, &soft, bits, kernel, budget);
-                if kernel == ViterbiKernel::Scalar {
-                    scalar_bps = bps;
-                }
                 line.push_str(&format!(" {name} {:.2} Mbit/s |", bps / 1e6));
                 rows.push((bits, name.to_string(), input, bps));
+                *rate = bps;
             }
-            let batch = measure_batch_bits_per_sec(&dec, &soft, bits, budget);
-            line.push_str(&format!(
-                " bitslice64 {:.2} Mbit/s agg ({:.2} Mbit/s/lane) | x{:.2} vs scalar",
-                batch / 1e6,
-                batch / BATCH as f64 / 1e6,
-                batch / scalar_bps
-            ));
+            line.push_str(&format!(" simd x{:.2} vs scalar", rates[2] / rates[0]));
             eprintln!("{line}");
-            rows.push((bits, "bitslice64".to_string(), input, batch));
         }
     }
     write_snapshot(dispatch, &rows);
@@ -229,15 +189,6 @@ fn bench(c: &mut Criterion) {
                 })
             });
         }
-        let blocks: Vec<&[Llr]> = (0..BATCH).map(|_| soft.as_slice()).collect();
-        let mut bws = BatchViterbiWorkspace::new();
-        group.bench_function(&format!("{bits}b/bitslice64"), |b| {
-            b.iter(|| {
-                dec.decode_terminated_batch_with(BatchKernel::Bitsliced, &blocks, &mut bws)
-                    .expect("batch decode");
-                bws.outputs().len()
-            })
-        });
     }
     group.finish();
 }

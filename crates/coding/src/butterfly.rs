@@ -131,8 +131,8 @@ impl ButterflyTrellis {
     }
 
     /// The coded branch labels, one `[u8; 4]` per butterfly `j` in the
-    /// `coded[j][2*b + p]` layout — shared with the SIMD and bitsliced
-    /// kernels so all three tiers walk one table.
+    /// `coded[j][2*b + p]` layout — shared with the SIMD tier so both
+    /// `i32` kernels walk one table.
     pub(crate) fn labels(&self) -> &[[u8; 4]] {
         &self.coded
     }
@@ -215,15 +215,3 @@ pub(crate) fn normalize_row(row: &mut [i32]) {
     }
 }
 // phylint: end-hot
-
-/// Index of the best end-state metric, ties resolved exactly like the
-/// scalar kernel's `max_by_key` (the last maximum wins).
-#[inline]
-pub(crate) fn best_state(metrics: &[i32]) -> usize {
-    metrics
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, &m)| m)
-        .map(|(s, _)| s)
-        .unwrap_or(0)
-}

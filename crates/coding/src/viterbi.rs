@@ -5,50 +5,39 @@
 //! demapping", so the decoder accepts LLRs; hard decisions are just
 //! ±[`HARD_LLR`](crate::HARD_LLR).
 //!
-//! Three add-compare-select kernel tiers back the public entry points
-//! (see [`ViterbiKernel`] for the selection matrix):
+//! Three add-compare-select kernel tiers sit behind one dispatch (see
+//! [`ViterbiKernel`] for the selection table), chosen per decode at
+//! run time from the code shape, the LLR magnitudes and CPU detection:
 //!
-//! * The **SIMD tier** ([`crate::simd`]) — with the `simd` cargo
-//!   feature, the default for codes whose shape fits 8 metric lanes
-//!   (≤ 3 output bits per input, ≥ 16 states): the butterfly walk with
-//!   eight butterflies per step in one register row, AVX2 intrinsics
-//!   when the CPU has them at run time, a portable fixed-width-array
-//!   tier otherwise.
+//! * The **SIMD tier** ([`crate::simd`]) — the default for codes whose
+//!   shape fits 8 metric lanes (≤ 3 output bits per input, ≥ 16
+//!   states): the butterfly walk with eight butterflies per step in one
+//!   register row, AVX2 intrinsics when the CPU has them at run time, a
+//!   portable fixed-width-array tier otherwise.
 //! * The **butterfly kernel** ([`crate::butterfly`]) — the scalar
 //!   radix-2 ACS butterfly walk with a per-branch metric table, `i32`
 //!   ping-pong metric rows and one-bit-per-state survivor masks,
-//!   mirroring the paper's ACS array + survivor RAM. Roughly 4× the
-//!   decoded bits/sec of the reference kernel (see the
-//!   `fig_viterbi_acs` bench); the fallback when the SIMD tier is
-//!   unavailable or the feature is off.
+//!   mirroring the paper's ACS array + survivor RAM; the fallback for
+//!   codes that do not fit the lanes.
 //! * The **scalar kernel** — the original per-state/per-input loop over
-//!   `i64` metrics, retained as the differential-testing reference
-//!   (`decode_*_scalar*` methods) and as the automatic fallback for
-//!   exotic codes (more than 8 generators) or absurd LLR magnitudes
-//!   (above `2^23 / n`, where `i32` path metrics could wrap). Building
-//!   with the `scalar-kernel` feature forces it everywhere.
-//!
-//! A fourth shape — the **bitsliced batch kernel**
-//! ([`crate::bitslice`], reached through
-//! [`ViterbiDecoder::decode_terminated_batch`]) — runs the same
-//! recursion across up to 64 independent blocks at once, one survivor
-//! bit-plane per block.
+//!   `i64` metrics, the differential-testing reference
+//!   ([`ViterbiKernel::Scalar`]) and the automatic fallback for exotic
+//!   codes (more than 8 generators) or absurd LLR magnitudes (above
+//!   `2^23 / n`, where `i32` path metrics could wrap).
 //!
 //! All kernels make identical decisions (including tie-breaks), so
 //! their outputs are bit-identical — pinned by the crate's property
 //! suite.
 
-use crate::bitslice::{self, BatchViterbiWorkspace, MAX_LANES};
-use crate::butterfly::{
-    best_state, fill_bm_table, normalize_row, ButterflyTrellis, NEG_INF_I32, NORM_INTERVAL,
-};
+use crate::butterfly::{fill_bm_table, normalize_row, ButterflyTrellis, NEG_INF_I32, NORM_INTERVAL};
 use crate::simd::SimdTrellis;
 use crate::{CodeSpec, CodingError, Llr};
 use std::time::{Duration, Instant};
 
 /// Preallocated working state for [`ViterbiDecoder`] — metric rows and
-/// survivor memory for both kernels. One workspace per decoding thread
-/// lets the burst hot path decode with zero steady-state heap
+/// survivor memory for the scalar kernel and the two `i32` tiers (the
+/// SIMD tier shares the butterfly buffers). One workspace per decoding
+/// thread lets the burst hot path decode with zero steady-state heap
 /// allocation: buffers grow to the largest block seen and are reused
 /// thereafter.
 #[derive(Debug, Clone, Default)]
@@ -78,7 +67,7 @@ impl ViterbiWorkspace {
         Self::default()
     }
 
-    /// Ensures scalar-kernel capacity for `n_branches × n_states`.
+    /// Ensures the scalar kernel's capacity for `n_branches × n_states`.
     fn prepare_scalar(&mut self, n_branches: usize, n_states: usize) {
         self.metrics.clear();
         self.metrics.resize(n_states, NEG_INF);
@@ -105,13 +94,15 @@ impl ViterbiWorkspace {
 /// Sentinel for an unreachable trellis state (scalar kernel).
 const NEG_INF: i64 = i64::MIN / 4;
 
-/// Packs a scalar-kernel survivor entry: predecessor state and input.
+/// Packs a survivor entry of the scalar kernel: predecessor state and
+/// input.
 #[inline]
 fn pack_survivor(prev_state: usize, input: u8) -> u32 {
     ((prev_state as u32) << 1) | u32::from(input)
 }
 
-/// Unpacks a scalar-kernel survivor entry into `(prev_state, input)`.
+/// Unpacks a survivor entry of the scalar kernel into
+/// `(prev_state, input)`.
 #[inline]
 fn unpack_survivor(packed: u32) -> (usize, u8) {
     ((packed >> 1) as usize, (packed & 1) as u8)
@@ -124,7 +115,7 @@ fn unpack_survivor(packed: u32) -> (usize, u8) {
 /// end-of-block traceback (the hardware equivalent uses a sliding
 /// traceback window; for the paper's burst sizes a full traceback is
 /// the exact limit of that architecture). See the `viterbi` module
-/// source docs for the two ACS kernels behind the public entry points.
+/// source docs for the three ACS kernels behind the public entry points.
 ///
 /// # Examples
 ///
@@ -152,9 +143,7 @@ pub struct ViterbiDecoder {
     /// Radix-2 butterfly tables (`None` for codes with > 8 outputs).
     butterfly: Option<ButterflyTrellis>,
     /// 8-lane SIMD view of the butterfly tables (`None` when the code
-    /// shape does not fit the lanes). Built unconditionally; the
-    /// `simd` feature only gates whether [`ViterbiKernel::Auto`]
-    /// dispatches to it.
+    /// shape does not fit the lanes).
     simd: Option<SimdTrellis>,
 }
 
@@ -162,7 +151,7 @@ pub struct ViterbiDecoder {
 /// `decode_*_with` entry points take one explicitly; everything else
 /// uses [`ViterbiKernel::Auto`].
 ///
-/// Selection matrix (feature × runtime detection × code shape):
+/// Selection table (runtime detection × code shape × LLR bound):
 ///
 /// | tier        | needs                                                        |
 /// |-------------|--------------------------------------------------------------|
@@ -172,16 +161,13 @@ pub struct ViterbiDecoder {
 /// | `scalar`    | anything (also the fallback when LLR magnitudes exceed the   |
 /// |             | `i32` tiers' exactness bound)                                |
 ///
-/// `Auto` walks that table top-down, skipping the SIMD row unless the
-/// `simd` cargo feature is on and skipping both fast rows under the
-/// `scalar-kernel` feature. An explicit `Simd`/`Butterfly` request
-/// ignores the cargo features (that is what makes differential testing
-/// possible on any build) but still falls back down the table when the
-/// code or the LLRs disqualify the requested tier — kernel choice can
-/// affect only speed, never output.
+/// `Auto` walks that table top-down. An explicit request starts at the
+/// row it names but still falls back down the table when the code or
+/// the LLRs disqualify that tier — kernel choice can affect only speed,
+/// never output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViterbiKernel {
-    /// Best tier the build, CPU, code and LLRs allow (the default).
+    /// Best tier the CPU, code and LLRs allow (the default).
     #[default]
     Auto,
     /// The reference per-state `i64` kernel.
@@ -190,33 +176,6 @@ pub enum ViterbiKernel {
     Butterfly,
     /// The 8-lane SIMD butterfly tier.
     Simd,
-}
-
-/// Kernel request for [`ViterbiDecoder::decode_terminated_batch_with`].
-///
-/// `Auto` is cost-aware, not capability-aware: the bitsliced kernel's
-/// add-compare-select runs per *lane* (the group rounded up to a
-/// multiple of 8), so a sparsely occupied group pays for planes that
-/// carry no block, while the per-block loop's cost is exactly linear
-/// in the group. Measured on the paper's K=7 rate-1/2 code, the
-/// per-block 8-lane SIMD tier outruns the bitsliced kernel even at
-/// full 64-lane occupancy, and the scalar butterfly tier loses to it
-/// from about half occupancy up — so `Auto` goes bitsliced only on
-/// builds without the SIMD tier and only for groups of at least half
-/// the lane width. An explicit `Bitsliced` request skips the cost
-/// model (that is what the differential suites and kernel benches
-/// use) but still falls back per block when the group's shape
-/// disqualifies the bitsliced kernel — like [`ViterbiKernel`],
-/// request choice can affect only speed, never output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchKernel {
-    /// Cheapest plan for the group's occupancy on this build (default).
-    #[default]
-    Auto,
-    /// The bitsliced many-block kernel wherever the group fits it.
-    Bitsliced,
-    /// A per-block [`ViterbiKernel::Auto`] loop.
-    PerBlock,
 }
 
 /// Phase timing of one decode, from
@@ -282,66 +241,33 @@ impl ViterbiDecoder {
     }
 
     /// The butterfly trellis whose `i32` arithmetic is exact for
-    /// `soft`, ignoring the feature flags — the shared eligibility
-    /// check under every explicit kernel request.
+    /// `soft`, or `None` when the scalar fallback must run (a code with
+    /// too many generators, or LLR magnitudes beyond the `i32` kernel's
+    /// exactness bound) — the eligibility check under every tier.
     #[inline]
     fn butterfly_safe(&self, soft: &[Llr]) -> Option<&ButterflyTrellis> {
         self.butterfly.as_ref().filter(|bf| bf.safe_for(soft))
-    }
-
-    /// The butterfly trellis to use for `soft`, or `None` when the
-    /// scalar fallback must run (forced by the `scalar-kernel` feature,
-    /// a code with too many generators, or LLR magnitudes beyond the
-    /// `i32` kernel's exactness bound).
-    #[inline]
-    fn butterfly_for(&self, soft: &[Llr]) -> Option<&ButterflyTrellis> {
-        if cfg!(feature = "scalar-kernel") {
-            return None;
-        }
-        self.butterfly_safe(soft)
-    }
-
-    /// The [`ViterbiKernel::Auto`] step kernel for `soft`: butterfly
-    /// tables when eligible, with the SIMD lane tier on top when the
-    /// `simd` feature is enabled and the code fits the lanes. `None`
-    /// means the scalar fallback must run.
-    #[inline]
-    fn step_kernel_for(&self, soft: &[Llr]) -> Option<StepKernel<'_>> {
-        let bf = self.butterfly_for(soft)?;
-        let simd = if cfg!(feature = "simd") {
-            self.simd.as_ref()
-        } else {
-            None
-        };
-        Some(StepKernel { bf, simd })
     }
 
     /// Resolves an explicit kernel request for `soft` (see
     /// [`ViterbiKernel`]): `None` means scalar.
     #[inline]
     fn step_kernel_with(&self, kernel: ViterbiKernel, soft: &[Llr]) -> Option<StepKernel<'_>> {
-        match kernel {
-            ViterbiKernel::Auto => self.step_kernel_for(soft),
-            ViterbiKernel::Scalar => None,
-            ViterbiKernel::Butterfly => {
-                self.butterfly_safe(soft).map(|bf| StepKernel { bf, simd: None })
-            }
-            ViterbiKernel::Simd => self.butterfly_safe(soft).map(|bf| StepKernel {
-                bf,
-                simd: self.simd.as_ref(),
-            }),
-        }
+        let simd = match kernel {
+            ViterbiKernel::Scalar => return None,
+            ViterbiKernel::Butterfly => None,
+            ViterbiKernel::Auto | ViterbiKernel::Simd => self.simd.as_ref(),
+        };
+        self.butterfly_safe(soft).map(|bf| StepKernel { bf, simd })
     }
 
     /// Name of the kernel tier [`ViterbiKernel::Auto`] would dispatch
-    /// for `soft` on this build and CPU: `"scalar"`, `"butterfly"`,
+    /// for `soft` on this CPU: `"scalar"`, `"butterfly"`,
     /// `"simd-portable"` or `"simd-avx2"`. Benches record this so
-    /// numbers from different hosts and feature sets are interpretable.
+    /// numbers from different hosts are interpretable.
     pub fn kernel_name(&self, soft: &[Llr]) -> &'static str {
-        match self.step_kernel_for(soft) {
-            Some(k) => k.name(),
-            None => "scalar",
-        }
+        self.step_kernel_with(ViterbiKernel::Auto, soft)
+            .map_or("scalar", |k| k.name())
     }
 
     /// Decodes a zero-terminated block (encoded with
@@ -373,25 +299,7 @@ impl ViterbiDecoder {
         ws: &mut ViterbiWorkspace,
         out: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
-        self.decode_block_into(soft, true, ws, out)?;
-        self.strip_flush(soft.len(), out)
-    }
-
-    /// [`ViterbiDecoder::decode_terminated_into`] on the reference
-    /// scalar kernel, regardless of the default backend — the
-    /// differential-testing twin of the butterfly path.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`ViterbiDecoder::decode_terminated`].
-    pub fn decode_terminated_scalar_into(
-        &self,
-        soft: &[Llr],
-        ws: &mut ViterbiWorkspace,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodingError> {
-        self.decode_block_scalar_into(soft, true, ws, out)?;
-        self.strip_flush(soft.len(), out)
+        self.decode_terminated_with(ViterbiKernel::Auto, soft, ws, out)
     }
 
     /// [`ViterbiDecoder::decode_terminated_into`] on an explicitly
@@ -409,13 +317,16 @@ impl ViterbiDecoder {
         ws: &mut ViterbiWorkspace,
         out: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
+        let n_branches = self.validate_block(soft)?;
         match self.step_kernel_with(kernel, soft) {
             Some(k) => {
-                let n_branches = self.validate_block(soft)?;
                 self.butterfly_acs_pass(k, soft, ws);
-                Self::butterfly_traceback(k.bf, n_branches, true, ws, out);
+                Self::butterfly_traceback(k.bf, n_branches, ws, out);
             }
-            None => self.decode_block_scalar_into(soft, true, ws, out)?,
+            None => {
+                self.scalar_acs_pass(soft, ws);
+                self.scalar_traceback(n_branches, ws, out);
+            }
         }
         self.strip_flush(soft.len(), out)
     }
@@ -435,162 +346,24 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<DecodeProfile, CodingError> {
         let n_branches = self.validate_block(soft)?;
-        match self.step_kernel_for(soft) {
-            Some(k) => {
-                let t0 = Instant::now();
-                self.butterfly_acs_pass(k, soft, ws);
-                let acs = t0.elapsed();
-                let t1 = Instant::now();
-                Self::butterfly_traceback(k.bf, n_branches, true, ws, out);
-                self.strip_flush(soft.len(), out)?;
-                Ok(DecodeProfile {
-                    acs,
-                    traceback: t1.elapsed(),
-                    kernel: k.name(),
-                })
-            }
-            None => {
-                let t0 = Instant::now();
-                self.scalar_acs_pass(soft, ws);
-                let acs = t0.elapsed();
-                let t1 = Instant::now();
-                self.scalar_traceback(n_branches, true, ws, out);
-                self.strip_flush(soft.len(), out)?;
-                Ok(DecodeProfile {
-                    acs,
-                    traceback: t1.elapsed(),
-                    kernel: "scalar",
-                })
-            }
-        }
-    }
-
-    /// Decodes a batch of independent zero-terminated blocks of this
-    /// code, leaving one output per block (input order) in
-    /// [`BatchViterbiWorkspace::outputs`].
-    ///
-    /// Groups of up to 64 equal-length blocks may run on the bitsliced
-    /// kernel (the private `bitslice` module) — one survivor bit-plane
-    /// per block,
-    /// the whole group through the ACS recursion at once — when the
-    /// [`BatchKernel::Auto`] cost model says the occupancy pays for it;
-    /// everything else (sparse groups, SIMD-tier builds, ragged
-    /// lengths, scalar-only codes, out-of-bound LLRs, `scalar-kernel`
-    /// builds) runs a per-block
-    /// [`ViterbiDecoder::decode_terminated_into`] loop. Either way the
-    /// batch entry point accepts exactly what the per-block one does
-    /// and every output is bit-identical to decoding that block alone.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::BadBlockLength`] under the same conditions as
-    /// [`ViterbiDecoder::decode_terminated`], reported for the first
-    /// offending block; outputs of other blocks are unspecified after
-    /// an error.
-    pub fn decode_terminated_batch(
-        &self,
-        blocks: &[&[Llr]],
-        ws: &mut BatchViterbiWorkspace,
-    ) -> Result<(), CodingError> {
-        self.decode_terminated_batch_with(BatchKernel::Auto, blocks, ws)
-    }
-
-    /// [`ViterbiDecoder::decode_terminated_batch`] with an explicit
-    /// batch-kernel request (see [`BatchKernel`]); `Bitsliced` pins the
-    /// bitsliced tier for differential runs regardless of occupancy or
-    /// cargo features.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`ViterbiDecoder::decode_terminated_batch`].
-    pub fn decode_terminated_batch_with(
-        &self,
-        kernel: BatchKernel,
-        blocks: &[&[Llr]],
-        ws: &mut BatchViterbiWorkspace,
-    ) -> Result<(), CodingError> {
-        ws.reserve_outputs(blocks.len());
-        let mut base = 0usize;
-        for group in blocks.chunks(MAX_LANES) {
-            match self.batch_butterfly_with(kernel, group) {
-                Some(bf) => bitslice::decode_group(&self.spec, bf, group, ws, base),
-                None => {
-                    let BatchViterbiWorkspace { outs, scratch, .. } = ws;
-                    for (i, block) in group.iter().enumerate() {
-                        self.decode_terminated_into(block, scratch, &mut outs[base + i])?;
-                    }
-                }
-            }
-            base += group.len();
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience for
-    /// [`ViterbiDecoder::decode_terminated_batch`]: decodes `blocks`
-    /// and returns one output per block.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`ViterbiDecoder::decode_terminated_batch`].
-    pub fn decode_batch(&self, blocks: &[&[Llr]]) -> Result<Vec<Vec<u8>>, CodingError> {
-        let mut ws = BatchViterbiWorkspace::new();
-        self.decode_terminated_batch(blocks, &mut ws)?;
-        Ok(std::mem::take(&mut ws.outs))
-    }
-
-    /// Resolves a [`BatchKernel`] request for one group: `Some` means
-    /// run the bitsliced kernel on these butterfly tables, `None` means
-    /// the per-block loop.
-    fn batch_butterfly_with(
-        &self,
-        kernel: BatchKernel,
-        group: &[&[Llr]],
-    ) -> Option<&ButterflyTrellis> {
+        let kernel = self.step_kernel_with(ViterbiKernel::Auto, soft);
+        let t0 = Instant::now();
         match kernel {
-            BatchKernel::Auto => {
-                if cfg!(feature = "scalar-kernel") || !self.bitslice_pays_for(group.len()) {
-                    return None;
-                }
-                self.batch_group_trellis(group)
-            }
-            BatchKernel::Bitsliced => self.batch_group_trellis(group),
-            BatchKernel::PerBlock => None,
+            Some(k) => self.butterfly_acs_pass(k, soft, ws),
+            None => self.scalar_acs_pass(soft, ws),
         }
-    }
-
-    /// Whether one batch group *can* run bitsliced: a
-    /// butterfly-eligible code, equal block lengths forming whole
-    /// branch sequences longer than the flush tail, and every block
-    /// inside the `i32` exactness bound. Anything else must fall back
-    /// per block regardless of the request.
-    fn batch_group_trellis(&self, group: &[&[Llr]]) -> Option<&ButterflyTrellis> {
-        let bf = self.butterfly.as_ref()?;
-        let first = group.first()?;
-        let n_out = self.spec.outputs_per_input();
-        if !first.len().is_multiple_of(n_out) {
-            return None;
+        let acs = t0.elapsed();
+        let t1 = Instant::now();
+        match kernel {
+            Some(k) => Self::butterfly_traceback(k.bf, n_branches, ws, out),
+            None => self.scalar_traceback(n_branches, ws, out),
         }
-        if first.len() / n_out < self.spec.constraint_length() {
-            return None;
-        }
-        group
-            .iter()
-            .all(|b| b.len() == first.len() && bf.safe_for(b))
-            .then_some(bf)
-    }
-
-    /// The [`BatchKernel::Auto`] cost model: whether a bitsliced group
-    /// of `n` blocks beats `n` per-block decodes. The bitsliced
-    /// recursion pays per lane (`n` rounded up to a multiple of 8)
-    /// whether or not a lane carries a block, and even its full-
-    /// occupancy aggregate rate sits below the per-block 8-lane SIMD
-    /// tier (measured ~14 vs ~19 Mbit/s on the paper's code), so it
-    /// pays only on builds whose per-block tier is the scalar
-    /// butterfly — and there only from about half the lane width up.
-    fn bitslice_pays_for(&self, n: usize) -> bool {
-        let simd_up = cfg!(feature = "simd") && self.simd.is_some();
-        !simd_up && n * 2 >= MAX_LANES
+        self.strip_flush(soft.len(), out)?;
+        Ok(DecodeProfile {
+            acs,
+            traceback: t1.elapsed(),
+            kernel: kernel.map_or("scalar", |k| k.name()),
+        })
     }
 
     /// Removes the `K-1` trellis flush bits after a terminated decode.
@@ -605,279 +378,6 @@ impl ViterbiDecoder {
         let info_len = out.len() - flush;
         out.truncate(info_len);
         Ok(())
-    }
-
-    /// Decodes a block without termination assumptions (traceback
-    /// starts from the best metric over all end states).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::BadBlockLength`] if the input is not a
-    /// whole number of branches.
-    pub fn decode_stream(&self, soft: &[Llr]) -> Result<Vec<u8>, CodingError> {
-        let mut ws = ViterbiWorkspace::new();
-        let mut out = Vec::new();
-        self.decode_block_into(soft, false, &mut ws, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`ViterbiDecoder::decode_stream`] on the reference scalar
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`ViterbiDecoder::decode_stream`].
-    pub fn decode_stream_scalar(&self, soft: &[Llr]) -> Result<Vec<u8>, CodingError> {
-        let mut ws = ViterbiWorkspace::new();
-        let mut out = Vec::new();
-        self.decode_block_scalar_into(soft, false, &mut ws, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decodes with a sliding traceback window of `window` branches —
-    /// the architecture a hardware Viterbi core (the paper's "Viterbi
-    /// decoder" entity with its 18,460 memory bits of survivor RAM)
-    /// actually implements: decisions commit once they are `window`
-    /// branches old, bounding survivor memory at `window × states`
-    /// bits instead of the whole burst.
-    ///
-    /// With `window ≥ ~5K` (35 for K=7) the output is virtually always
-    /// identical to full traceback.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::BadBlockLength`] if the input is not a
-    /// whole number of branches, or if `window` is zero.
-    pub fn decode_windowed(&self, soft: &[Llr], window: usize) -> Result<Vec<u8>, CodingError> {
-        self.decode_windowed_with(ViterbiKernel::Auto, soft, window)
-    }
-
-    /// [`ViterbiDecoder::decode_windowed`] on an explicitly requested
-    /// kernel tier (see [`ViterbiKernel`]).
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`ViterbiDecoder::decode_windowed`].
-    pub fn decode_windowed_with(
-        &self,
-        kernel: ViterbiKernel,
-        soft: &[Llr],
-        window: usize,
-    ) -> Result<Vec<u8>, CodingError> {
-        self.check_windowed(soft, window)?;
-        match self.step_kernel_with(kernel, soft) {
-            Some(k) => Ok(self.windowed_butterfly(k, soft, window)),
-            None => Ok(self.windowed_scalar(soft, window)),
-        }
-    }
-
-    /// [`ViterbiDecoder::decode_windowed`] on the reference scalar
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`ViterbiDecoder::decode_windowed`].
-    pub fn decode_windowed_scalar(
-        &self,
-        soft: &[Llr],
-        window: usize,
-    ) -> Result<Vec<u8>, CodingError> {
-        self.check_windowed(soft, window)?;
-        Ok(self.windowed_scalar(soft, window))
-    }
-
-    /// Shared validation for the windowed entry points.
-    fn check_windowed(&self, soft: &[Llr], window: usize) -> Result<(), CodingError> {
-        if window == 0 {
-            return Err(CodingError::BadBlockLength {
-                got: 0,
-                multiple: 1,
-            });
-        }
-        let n_out = self.spec.outputs_per_input();
-        if !soft.len().is_multiple_of(n_out) {
-            return Err(CodingError::BadBlockLength {
-                got: soft.len(),
-                multiple: n_out,
-            });
-        }
-        Ok(())
-    }
-
-    /// Windowed decode on the butterfly kernel: the survivor ring holds
-    /// `window × ⌈states/64⌉` mask words — exactly the bounded survivor
-    /// RAM of the hardware core — and each commit walks it by
-    /// shift-and-mask.
-    fn windowed_butterfly(&self, kernel: StepKernel<'_>, soft: &[Llr], window: usize) -> Vec<u8> {
-        let bf = kernel.bf;
-        let n_out = self.spec.outputs_per_input();
-        let n_branches = soft.len() / n_out;
-        let n_states = bf.n_states();
-        let wps = bf.words_per_step();
-
-        let mut cur = vec![NEG_INF_I32; n_states];
-        cur[0] = 0;
-        let mut nxt = vec![NEG_INF_I32; n_states];
-        let mut bm = vec![0i32; bf.table_len()];
-        let mut ring = vec![0u64; window * wps];
-        let mut path = vec![0u8; window];
-        let mut filled = 0usize;
-        let mut decoded = Vec::with_capacity(n_branches);
-
-        // A borrowed view of the survivor ring for one traceback walk:
-        // back through the `filled` newest rows (newest row index
-        // `newest`), emitting the oldest `emit` decisions.
-        struct MaskRing<'a> {
-            bf: &'a ButterflyTrellis,
-            ring: &'a [u64],
-            wps: usize,
-            window: usize,
-        }
-        impl MaskRing<'_> {
-            fn emit(
-                &self,
-                filled: usize,
-                newest: usize,
-                metrics: &[i32],
-                emit: usize,
-                path: &mut [u8],
-                out: &mut Vec<u8>,
-            ) {
-                let mut state = best_state(metrics);
-                for back in 0..filled {
-                    let row = (newest + self.window - back) % self.window;
-                    let words = &self.ring[row * self.wps..(row + 1) * self.wps];
-                    let (bit, prev) = self.bf.traceback_state(state, words);
-                    path[filled - 1 - back] = bit;
-                    state = prev;
-                }
-                out.extend(&path[..emit.min(filled)]);
-            }
-        }
-
-        for t in 0..n_branches {
-            fill_bm_table(&soft[t * n_out..(t + 1) * n_out], &mut bm);
-            let row = t % window;
-            kernel.acs_step(&bm, &cur, &mut nxt, &mut ring[row * wps..(row + 1) * wps]);
-            std::mem::swap(&mut cur, &mut nxt);
-            if (t + 1) % NORM_INTERVAL == 0 {
-                normalize_row(&mut cur);
-            }
-            filled += 1;
-            if filled == window {
-                // Commit the oldest decision and free its ring row.
-                let view = MaskRing { bf, ring: &ring, wps, window };
-                view.emit(filled, row, &cur, 1, &mut path, &mut decoded);
-                filled -= 1;
-            }
-        }
-        // Flush: final traceback from the best end state.
-        if filled > 0 {
-            let newest = (n_branches + window - 1) % window;
-            let view = MaskRing { bf, ring: &ring, wps, window };
-            view.emit(filled, newest, &cur, filled, &mut path, &mut decoded);
-        }
-        decoded
-    }
-
-    /// Windowed decode on the scalar kernel (the original
-    /// implementation, kept as the differential reference).
-    fn windowed_scalar(&self, soft: &[Llr], window: usize) -> Vec<u8> {
-        let n_out = self.spec.outputs_per_input();
-        let n_branches = soft.len() / n_out;
-        let n_states = self.spec.num_states();
-
-        let mut metrics = vec![NEG_INF; n_states];
-        metrics[0] = 0;
-        let mut next_metrics = vec![NEG_INF; n_states];
-        // Flat survivor ring, `window × states` entries (row `t %
-        // window` holds branch `t`'s decisions).
-        let mut ring = vec![0u32; window * n_states];
-        let mut filled = 0usize;
-        let mut decoded = Vec::with_capacity(n_branches);
-
-        let traceback_emit = |ring: &[u32],
-                              filled: usize,
-                              newest: usize,
-                              metrics: &[i64],
-                              emit: usize,
-                              out: &mut Vec<u8>| {
-            let mut state = metrics
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &m)| m)
-                .map(|(s, _)| s)
-                .unwrap_or(0);
-            let mut path = vec![0u8; filled];
-            for back in 0..filled {
-                let row = (newest + window - back) % window;
-                let (prev, input) = unpack_survivor(ring[row * n_states + state]);
-                path[filled - 1 - back] = input;
-                state = prev;
-            }
-            out.extend(&path[..emit.min(path.len())]);
-        };
-
-        for t in 0..n_branches {
-            let branch = &soft[t * n_out..(t + 1) * n_out];
-            next_metrics.fill(NEG_INF);
-            let row = t % window;
-            let surv = &mut ring[row * n_states..(row + 1) * n_states];
-            surv.fill(0);
-            #[allow(clippy::needless_range_loop)] // `state` indexes two tables in lockstep
-            for state in 0..n_states {
-                let pm = metrics[state];
-                if pm == NEG_INF {
-                    continue;
-                }
-                for input in 0..2u8 {
-                    let (coded, next) = self.transitions[state][input as usize];
-                    let mut bm: i64 = 0;
-                    for (i, &llr) in branch.iter().enumerate() {
-                        let expected = (coded >> i) & 1;
-                        bm += if expected == 0 { llr as i64 } else { -(llr as i64) };
-                    }
-                    let cand = pm + bm;
-                    let next = next as usize;
-                    if cand > next_metrics[next] {
-                        next_metrics[next] = cand;
-                        surv[next] = pack_survivor(state, input);
-                    }
-                }
-            }
-            std::mem::swap(&mut metrics, &mut next_metrics);
-            filled += 1;
-            if filled == window {
-                traceback_emit(&ring, filled, row, &metrics, 1, &mut decoded);
-                filled -= 1;
-            }
-        }
-        if filled > 0 {
-            let newest = (n_branches + window - 1) % window;
-            traceback_emit(&ring, filled, newest, &metrics, filled, &mut decoded);
-        }
-        decoded
-    }
-
-    /// Full-block decode into caller-owned storage: validates, then
-    /// dispatches to the fastest eligible `i32` kernel tier or the
-    /// scalar fallback.
-    fn decode_block_into(
-        &self,
-        soft: &[Llr],
-        terminated: bool,
-        ws: &mut ViterbiWorkspace,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodingError> {
-        match self.step_kernel_for(soft) {
-            Some(k) => {
-                let n_branches = self.validate_block(soft)?;
-                self.butterfly_acs_pass(k, soft, ws);
-                Self::butterfly_traceback(k.bf, n_branches, terminated, ws, out);
-                Ok(())
-            }
-            None => self.decode_block_scalar_into(soft, terminated, ws, out),
-        }
     }
 
     /// Checks that `soft` is a whole number of branches; returns the
@@ -919,21 +419,17 @@ impl ViterbiDecoder {
         }
     }
 
-    /// Backward pass of a butterfly-tier block decode: one survivor bit
-    /// per step selects the predecessor.
+    /// Backward pass of a butterfly-tier block decode from the
+    /// terminated end state 0: one survivor bit per step selects the
+    /// predecessor.
     fn butterfly_traceback(
         bf: &ButterflyTrellis,
         n_branches: usize,
-        terminated: bool,
         ws: &mut ViterbiWorkspace,
         out: &mut Vec<u8>,
     ) {
         let wps = bf.words_per_step();
-        let mut state = if terminated {
-            0usize
-        } else {
-            best_state(&ws.row_cur)
-        };
+        let mut state = 0usize;
         out.clear();
         out.resize(n_branches, 0);
         for t in (0..n_branches).rev() {
@@ -943,22 +439,7 @@ impl ViterbiDecoder {
         }
     }
 
-    /// Scalar-kernel add-compare-select + traceback over the full
-    /// block, into caller-owned storage.
-    fn decode_block_scalar_into(
-        &self,
-        soft: &[Llr],
-        terminated: bool,
-        ws: &mut ViterbiWorkspace,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodingError> {
-        let n_branches = self.validate_block(soft)?;
-        self.scalar_acs_pass(soft, ws);
-        self.scalar_traceback(n_branches, terminated, ws, out);
-        Ok(())
-    }
-
-    /// Forward pass of a scalar-kernel block decode. `soft` must
+    /// Forward pass of a block decode on the scalar kernel. `soft` must
     /// already be validated.
     fn scalar_acs_pass(&self, soft: &[Llr], ws: &mut ViterbiWorkspace) {
         let n_out = self.spec.outputs_per_input();
@@ -999,25 +480,11 @@ impl ViterbiDecoder {
         }
     }
 
-    /// Backward pass of a scalar-kernel block decode.
-    fn scalar_traceback(
-        &self,
-        n_branches: usize,
-        terminated: bool,
-        ws: &mut ViterbiWorkspace,
-        out: &mut Vec<u8>,
-    ) {
+    /// Backward pass of a block decode on the scalar kernel, from the
+    /// terminated end state 0.
+    fn scalar_traceback(&self, n_branches: usize, ws: &mut ViterbiWorkspace, out: &mut Vec<u8>) {
         let n_states = self.spec.num_states();
-        let mut state = if terminated {
-            0usize
-        } else {
-            ws.metrics
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &m)| m)
-                .map(|(s, _)| s)
-                .unwrap_or(0)
-        };
+        let mut state = 0usize;
         out.clear();
         out.resize(n_branches, 0);
         for t in (0..n_branches).rev() {
@@ -1098,20 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_decode_without_termination() {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let info: Vec<u8> = (0..60).map(|i| (i % 2) as u8).collect();
-        let coded = enc.encode(&info);
-        enc.reset();
-        let soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        let decoded = dec.decode_stream(&soft).unwrap();
-        // Tail bits may be wrong without termination; the body must match.
-        assert_eq!(&decoded[..50], &info[..50]);
-    }
-
-    #[test]
     fn rejects_ragged_input() {
         let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
         assert!(matches!(
@@ -1124,68 +577,6 @@ mod tests {
     fn empty_block_is_rejected() {
         let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
         assert!(dec.decode_terminated(&[]).is_err());
-    }
-
-    #[test]
-    fn windowed_matches_full_traceback_noiseless() {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let info: Vec<u8> = (0..300).map(|i| ((i * 23 + 1) % 7 < 3) as u8).collect();
-        let coded = enc.encode_terminated(&info);
-        let soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        let full = dec.decode_terminated(&soft).unwrap();
-        // Window of 5K = 35 branches: the classic rule of thumb.
-        let windowed = dec.decode_windowed(&soft, 35).unwrap();
-        // Windowed output includes the flush tail; compare the body.
-        assert_eq!(&windowed[..full.len()], &full[..]);
-    }
-
-    #[test]
-    fn windowed_corrects_errors_like_full() {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let info: Vec<u8> = (0..200).map(|i| (i % 3 == 1) as u8).collect();
-        let mut coded = enc.encode_terminated(&info);
-        for pos in [10usize, 60, 130, 250, 330] {
-            coded[pos] ^= 1;
-        }
-        let soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        let windowed = dec.decode_windowed(&soft, 48).unwrap();
-        assert_eq!(&windowed[..info.len()], &info[..]);
-    }
-
-    #[test]
-    fn too_small_window_degrades_gracefully() {
-        // A window below ~3K truncates paths too early: errors appear
-        // but decoding must not panic. This documents *why* hardware
-        // pays for 5K-deep survivor memory.
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let info: Vec<u8> = (0..120).map(|i| ((i * 31) % 5 < 2) as u8).collect();
-        let mut coded = enc.encode_terminated(&info);
-        for pos in (7..coded.len()).step_by(37) {
-            coded[pos] ^= 1;
-        }
-        let soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        let tight = dec.decode_windowed(&soft, 8).unwrap();
-        let roomy = dec.decode_windowed(&soft, 64).unwrap();
-        let errs = |out: &[u8]| info.iter().zip(out).filter(|(a, b)| a != b).count();
-        assert!(
-            errs(&roomy) <= errs(&tight),
-            "wider window must not be worse: {} vs {}",
-            errs(&roomy),
-            errs(&tight)
-        );
-        assert_eq!(errs(&roomy), 0, "64-deep window must fully correct");
-    }
-
-    #[test]
-    fn windowed_rejects_zero_window() {
-        let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
-        assert!(dec.decode_windowed(&[1, 2], 0).is_err());
     }
 
     #[test]
@@ -1222,7 +613,7 @@ mod tests {
         let mut fast = Vec::new();
         let mut reference = Vec::new();
         dec.decode_terminated_into(&soft, &mut ws, &mut fast).unwrap();
-        dec.decode_terminated_scalar_into(&soft, &mut ws, &mut reference)
+        dec.decode_terminated_with(ViterbiKernel::Scalar, &soft, &mut ws, &mut reference)
             .unwrap();
         assert_eq!(fast, reference, "kernels disagree");
     }

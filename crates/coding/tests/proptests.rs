@@ -1,10 +1,10 @@
 //! Property-based tests across the coding pipeline, including the
-//! differential suites pinning the butterfly, SIMD and bitsliced-batch
-//! ACS kernels bit-identical to the scalar reference kernel.
+//! differential suites pinning the SIMD and butterfly ACS kernels
+//! bit-identical to the scalar reference kernel.
 
 use mimo_coding::{
-    bits, depuncture, hard_to_llr, puncture, BatchKernel, BatchViterbiWorkspace, CodeRate,
-    CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
+    bits, depuncture, hard_to_llr, puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Llr,
+    ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
 };
 use proptest::prelude::*;
 
@@ -37,6 +37,32 @@ fn perturb(soft: &mut [Llr], seed: u64, scale: i64) {
         *llr += noise.llr(scale);
     }
 }
+
+/// Decodes `soft` as a terminated block on each tier in `kernels`.
+fn decode_on(dec: &ViterbiDecoder, kernels: &[ViterbiKernel], soft: &[Llr]) -> Vec<Vec<u8>> {
+    let mut ws = ViterbiWorkspace::new();
+    kernels
+        .iter()
+        .map(|&kernel| {
+            let mut out = Vec::new();
+            dec.decode_terminated_with(kernel, soft, &mut ws, &mut out).unwrap();
+            out
+        })
+        .collect()
+}
+
+/// A random rate-1/2 code of constraint length `k` (generators drawn
+/// from `seed`, never zero).
+fn random_code(k: usize, seed: u64) -> ViterbiDecoder {
+    let mut noise = Noise(seed | 1);
+    let mask = (1u64 << k) - 1;
+    let g0 = ((noise.next() & mask) as u32).max(1);
+    let g1 = ((noise.next() & mask) as u32).max(1);
+    ViterbiDecoder::new(CodeSpec::new(k, vec![g0, g1], 1).unwrap())
+}
+
+const ALL_TIERS: [ViterbiKernel; 3] =
+    [ViterbiKernel::Simd, ViterbiKernel::Butterfly, ViterbiKernel::Scalar];
 
 proptest! {
     /// encode → decode is the identity for any input, any rate.
@@ -133,70 +159,54 @@ proptest! {
         let mut fast = Vec::new();
         let mut reference = Vec::new();
         dec.decode_terminated_into(&restored, &mut ws, &mut fast).unwrap();
-        dec.decode_terminated_scalar_into(&restored, &mut ws, &mut reference).unwrap();
+        dec.decode_terminated_with(ViterbiKernel::Scalar, &restored, &mut ws, &mut reference)
+            .unwrap();
         prop_assert_eq!(fast, reference);
     }
 
     /// Kernel equivalence on pure random LLRs (no codeword structure):
     /// tiny scales force constant metric ties, exercising the
-    /// tie-break and traceback corners hardest.
+    /// tie-break and traceback corners hardest, and `2^28` puts every
+    /// LLR past the `i32` tiers' exactness bound, so each request must
+    /// fall back to the scalar kernel. The block starts at K = 7
+    /// branches so it always holds the flush tail.
     #[test]
     fn butterfly_matches_scalar_on_random_llrs(
-        n_branches in 1usize..400,
+        n_branches in 7usize..400,
         seed in any::<u64>(),
-        scale_idx in 0usize..4,
+        scale_idx in 0usize..5,
     ) {
-        let scale = [1i64, 4, 64, 100_000][scale_idx];
+        let scale = [1i64, 4, 64, 100_000, 1 << 28][scale_idx];
         let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
         let mut noise = Noise(seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
-        let fast = dec.decode_stream(&soft).unwrap();
-        let reference = dec.decode_stream_scalar(&soft).unwrap();
-        prop_assert_eq!(fast, reference);
-    }
-
-    /// Windowed decoding: the butterfly survivor-mask ring commits the
-    /// same bits as the scalar ring for any window depth.
-    #[test]
-    fn windowed_butterfly_matches_scalar(
-        info in bitvec(300),
-        window in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let coded = enc.encode_terminated(&info);
-        let mut soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        perturb(&mut soft, seed, 80);
-        let fast = dec.decode_windowed(&soft, window).unwrap();
-        let reference = dec.decode_windowed_scalar(&soft, window).unwrap();
-        prop_assert_eq!(fast, reference);
+        let outs = decode_on(&dec, &ALL_TIERS, &soft);
+        prop_assert_eq!(&outs[0], &outs[2]);
+        prop_assert_eq!(&outs[1], &outs[2]);
     }
 
     /// Kernel equivalence holds for arbitrary valid codes, not just
     /// the built-in K=7 pair (random constraint length and
     /// generators). K runs to the supported maximum of 9 so the
     /// multi-word survivor-mask path (128/256 states, 2–4 `u64` words
-    /// per step) is exercised, not just the single-word K ≤ 7 case.
+    /// per step) is exercised, not just the single-word K ≤ 7 case;
+    /// codes too small for the lanes (K < 5) turn a `Simd` request
+    /// into the butterfly tier. Scales 1 and 4 force ties.
     #[test]
     fn butterfly_matches_scalar_for_random_codes(
         k in 3usize..10,
         g_seed in any::<u64>(),
-        n_branches in 8usize..120,
+        extra_branches in 0usize..120,
         llr_seed in any::<u64>(),
+        scale_idx in 0usize..3,
     ) {
-        let mut noise = Noise(g_seed | 1);
-        let mask = (1u64 << k) - 1;
-        let g0 = ((noise.next() & mask) as u32).max(1);
-        let g1 = ((noise.next() & mask) as u32).max(1);
-        let spec = CodeSpec::new(k, vec![g0, g1], 1).unwrap();
-        let dec = ViterbiDecoder::new(spec);
+        let dec = random_code(k, g_seed);
         let mut noise = Noise(llr_seed | 1);
-        let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(50)).collect();
-        let fast = dec.decode_stream(&soft).unwrap();
-        let reference = dec.decode_stream_scalar(&soft).unwrap();
-        prop_assert_eq!(fast, reference);
+        let scale = [1i64, 4, 50][scale_idx];
+        let soft: Vec<Llr> = (0..2 * (k + extra_branches)).map(|_| noise.llr(scale)).collect();
+        let outs = decode_on(&dec, &ALL_TIERS, &soft);
+        prop_assert_eq!(&outs[0], &outs[2]);
+        prop_assert_eq!(&outs[1], &outs[2]);
     }
 
     /// Explicit-kernel dispatch: the SIMD tier, the butterfly tier and
@@ -219,17 +229,9 @@ proptest! {
         let mut soft: Vec<Llr> = tx.iter().map(|&b| hard_to_llr(b)).collect();
         perturb(&mut soft, seed, [1i64, 4, 96][scale_idx]);
         let restored = depuncture(&soft, rate, mother.len()).unwrap();
-        let mut ws = ViterbiWorkspace::new();
-        let mut simd = Vec::new();
-        let mut butterfly = Vec::new();
-        let mut scalar = Vec::new();
-        dec.decode_terminated_with(ViterbiKernel::Simd, &restored, &mut ws, &mut simd).unwrap();
-        dec.decode_terminated_with(ViterbiKernel::Butterfly, &restored, &mut ws, &mut butterfly)
-            .unwrap();
-        dec.decode_terminated_with(ViterbiKernel::Scalar, &restored, &mut ws, &mut scalar)
-            .unwrap();
-        prop_assert_eq!(&simd, &butterfly);
-        prop_assert_eq!(&simd, &scalar);
+        let outs = decode_on(&dec, &ALL_TIERS, &restored);
+        prop_assert_eq!(&outs[0], &outs[1]);
+        prop_assert_eq!(&outs[0], &outs[2]);
     }
 
     /// SIMD equivalence holds for random simd-eligible codes (K ≥ 5 so
@@ -241,156 +243,12 @@ proptest! {
         n_branches in 10usize..120,
         llr_seed in any::<u64>(),
     ) {
-        let mut noise = Noise(g_seed | 1);
-        let mask = (1u64 << k) - 1;
-        let g0 = ((noise.next() & mask) as u32).max(1);
-        let g1 = ((noise.next() & mask) as u32).max(1);
-        let spec = CodeSpec::new(k, vec![g0, g1], 1).unwrap();
-        let dec = ViterbiDecoder::new(spec);
+        let dec = random_code(k, g_seed);
         let mut noise = Noise(llr_seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(50)).collect();
-        let mut ws = ViterbiWorkspace::new();
-        let mut simd = Vec::new();
-        let mut scalar = Vec::new();
-        dec.decode_terminated_with(ViterbiKernel::Simd, &soft, &mut ws, &mut simd).unwrap();
-        dec.decode_terminated_with(ViterbiKernel::Scalar, &soft, &mut ws, &mut scalar).unwrap();
-        prop_assert_eq!(simd, scalar);
+        let outs = decode_on(&dec, &[ViterbiKernel::Simd, ViterbiKernel::Scalar], &soft);
+        prop_assert_eq!(&outs[0], &outs[1]);
     }
-
-    /// Windowed decoding commits the same bits on all three kernel
-    /// tiers for any window depth.
-    #[test]
-    fn windowed_simd_matches_butterfly_and_scalar(
-        info in bitvec(300),
-        window in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let coded = enc.encode_terminated(&info);
-        let mut soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        perturb(&mut soft, seed, 80);
-        let simd = dec.decode_windowed_with(ViterbiKernel::Simd, &soft, window).unwrap();
-        let butterfly = dec.decode_windowed_with(ViterbiKernel::Butterfly, &soft, window).unwrap();
-        let scalar = dec.decode_windowed_scalar(&soft, window).unwrap();
-        prop_assert_eq!(&simd, &butterfly);
-        prop_assert_eq!(&simd, &scalar);
-    }
-
-    /// The batch entry point equals the per-block loop for every batch
-    /// width 1..=64, both under `Auto` dispatch and with the bitsliced
-    /// kernel explicitly requested — each lane bit-identical to
-    /// decoding its block alone, whatever the occupancy cost model
-    /// picks.
-    #[test]
-    fn batch_matches_per_block_loop(
-        width in 1usize..65,
-        info_len in 16usize..64,
-        seed in any::<u64>(),
-    ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let mut noise = Noise(seed | 1);
-        let mut stored: Vec<Vec<Llr>> = Vec::new();
-        for b in 0..width {
-            let info: Vec<u8> = (0..info_len).map(|i| u8::from((i * 31 + b * 7) % 5 < 2)).collect();
-            let mut soft: Vec<Llr> =
-                enc.encode_terminated(&info).iter().map(|&b| hard_to_llr(b)).collect();
-            for llr in soft.iter_mut() {
-                *llr += noise.llr(90);
-            }
-            stored.push(soft);
-        }
-        let blocks: Vec<&[Llr]> = stored.iter().map(|b| b.as_slice()).collect();
-        let mut batch_ws = BatchViterbiWorkspace::new();
-        let mut ws = ViterbiWorkspace::new();
-        let mut one = Vec::new();
-        for kernel in [BatchKernel::Bitsliced, BatchKernel::Auto] {
-            dec.decode_terminated_batch_with(kernel, &blocks, &mut batch_ws).unwrap();
-            for (block, got) in blocks.iter().zip(batch_ws.outputs()) {
-                dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
-                prop_assert_eq!(&one, got, "kernel {:?}", kernel);
-            }
-        }
-    }
-
-    /// Ragged batches (mixed block lengths, so the bitsliced kernel
-    /// must decline) still equal the per-block loop through the
-    /// fallback path.
-    #[test]
-    fn ragged_batch_matches_per_block_loop(
-        widths in proptest::collection::vec(8usize..48, 2..20),
-        seed in any::<u64>(),
-    ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let mut noise = Noise(seed | 1);
-        let mut stored: Vec<Vec<Llr>> = Vec::new();
-        for (b, &info_len) in widths.iter().enumerate() {
-            let info: Vec<u8> = (0..info_len).map(|i| u8::from((i * 13 + b) % 3 == 0)).collect();
-            let mut soft: Vec<Llr> =
-                enc.encode_terminated(&info).iter().map(|&b| hard_to_llr(b)).collect();
-            for llr in soft.iter_mut() {
-                *llr += noise.llr(70);
-            }
-            stored.push(soft);
-        }
-        let blocks: Vec<&[Llr]> = stored.iter().map(|b| b.as_slice()).collect();
-        let batch = dec.decode_batch(&blocks).unwrap();
-        let mut ws = ViterbiWorkspace::new();
-        let mut one = Vec::new();
-        for (block, got) in blocks.iter().zip(&batch) {
-            dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
-            prop_assert_eq!(&one, got);
-        }
-    }
-}
-
-#[test]
-fn batch_wider_than_64_spans_groups() {
-    // 70 equal blocks: one full 64-lane group plus a 6-lane tail.
-    let spec = CodeSpec::ieee80211a();
-    let mut enc = ConvolutionalEncoder::new(spec.clone());
-    let dec = ViterbiDecoder::new(spec);
-    let mut noise = Noise(0x5eed_cafe);
-    let mut stored: Vec<Vec<Llr>> = Vec::new();
-    for b in 0..70 {
-        let info: Vec<u8> = (0..48).map(|i| u8::from((i * 29 + b * 3) % 7 < 3)).collect();
-        let mut soft: Vec<Llr> = enc
-            .encode_terminated(&info)
-            .iter()
-            .map(|&b| hard_to_llr(b))
-            .collect();
-        for llr in soft.iter_mut() {
-            *llr += noise.llr(60);
-        }
-        stored.push(soft);
-    }
-    let blocks: Vec<&[Llr]> = stored.iter().map(|b| b.as_slice()).collect();
-    let batch = dec.decode_batch(&blocks).unwrap();
-    assert_eq!(batch.len(), 70);
-    let mut ws = ViterbiWorkspace::new();
-    let mut one = Vec::new();
-    for (block, got) in blocks.iter().zip(&batch) {
-        dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
-        assert_eq!(&one, got);
-    }
-}
-
-#[test]
-fn batch_surfaces_bad_block_errors() {
-    let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
-    // Ragged odd-length member forces the fallback loop, which must
-    // report the same error as the per-block entry point.
-    let good = vec![10 as Llr; 40];
-    let bad = vec![10 as Llr; 7];
-    let blocks: Vec<&[Llr]> = vec![&good, &bad];
-    assert!(dec.decode_batch(&blocks).is_err());
-    // An empty batch is a no-op.
-    assert!(dec.decode_batch(&[]).unwrap().is_empty());
 }
 
 #[test]
@@ -398,20 +256,12 @@ fn kernel_name_reflects_dispatch() {
     let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
     let soft = vec![10 as Llr; 48];
     let name = dec.kernel_name(&soft);
-    if cfg!(feature = "scalar-kernel") {
-        assert_eq!(name, "scalar");
-    } else if cfg!(feature = "simd") {
-        assert!(name.starts_with("simd-"), "got {name}");
-    } else {
-        assert_eq!(name, "butterfly");
-    }
+    assert!(name.starts_with("simd-"), "got {name}");
     // LLRs beyond the i32 exactness bound always fall back to scalar.
     assert_eq!(dec.kernel_name(&[1 << 28, 0]), "scalar");
     // K=3 has too few states for the 8-lane tier: butterfly at best.
     let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap());
-    if !cfg!(feature = "scalar-kernel") {
-        assert_eq!(k3.kernel_name(&soft), "butterfly");
-    }
+    assert_eq!(k3.kernel_name(&soft), "butterfly");
 }
 
 #[test]

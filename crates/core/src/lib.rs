@@ -120,8 +120,8 @@
 //!   their capacity. (For single-kit embeddings the subsystem crates
 //!   also support in-place re-init: `SymbolMapper::reconfigure`,
 //!   `BlockInterleaver::reconfigure`.)
-//! * **Per-channel fan-out.** With the `parallel` feature (default
-//!   on) and [`PhyConfig::with_parallelism`], the transmitter runs one
+//! * **Per-channel fan-out.** With [`PhyConfig::with_parallelism`]
+//!   (a run-time switch; no cargo feature), the transmitter runs one
 //!   scoped thread per spatial channel, and the receiver runs two
 //!   parallel stages: per-antenna FFT + carrier gather, then
 //!   per-stream zero-forcing detection (row `k` of `H⁻¹·r`), pilot

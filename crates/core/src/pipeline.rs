@@ -165,19 +165,14 @@ impl std::fmt::Debug for BurstPipeline {
 impl BurstPipeline {
     /// Builds a pipeline with the auto worker count: one worker per
     /// host CPU, or the serial schedule when the host reports a single
-    /// CPU (or the `parallel` feature is compiled out).
+    /// CPU.
     ///
     /// # Errors
     ///
     /// Returns [`PhyError::BadConfig`] for invalid configurations
     /// (the receiver requires 4 streams).
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
-        let auto = if cfg!(feature = "parallel") {
-            host_parallelism()
-        } else {
-            1
-        };
-        Self::with_workers(cfg, auto)
+        Self::with_workers(cfg, host_parallelism())
     }
 
     /// Builds a pipeline from the static link geometry alone — like

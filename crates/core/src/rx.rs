@@ -24,10 +24,9 @@
 //!   then one fused demap→deinterleave→depuncture scatter that lands
 //!   this symbol's LLRs directly in mother-code (Viterbi branch) order
 //!   in the stream workspace.
-//! * The burst-end bit pipeline ([`decode_bit_pipeline`], or the
-//!   all-streams batch decode on the serial path), SIGNAL
-//!   parse ([`parse_header_ws`]) and round-robin reassembly
-//!   ([`assemble_payload`]) close a burst.
+//! * The burst-end bit pipeline ([`decode_bit_pipeline`], one per
+//!   stream), SIGNAL parse ([`parse_header_ws`]) and round-robin
+//!   reassembly ([`assemble_payload`]) close a burst.
 //!
 //! [`MimoReceiver::receive_burst`] (whole capture, two parallel
 //! stages), [`BurstPipeline`](crate::BurstPipeline) (batched stage
@@ -45,13 +44,14 @@
 //! 1. **Per antenna** — ingest every payload symbol and gather the
 //!    occupied carriers into that antenna's flat frequency buffer.
 //! 2. **Per stream** — the per-symbol core over all of the burst's
-//!    symbols, entirely inside stream `k`'s workspace at the burst's
-//!    MCS.
+//!    symbols, then that stream's Viterbi decode, descramble and byte
+//!    cut, entirely inside stream `k`'s workspace at the burst's MCS.
 //!
 //! Both stages are embarrassingly parallel across the four channels;
-//! with the `parallel` feature they fan out across scoped threads and
-//! produce bit-identical results to the serial schedule, because every
-//! output cell is computed by exactly one worker in a fixed order.
+//! when [`PhyConfig::parallelism`] is on they fan out across scoped
+//! threads and produce bit-identical results to the serial schedule,
+//! because every output cell is computed by exactly one worker in a
+//! fixed order.
 //! The SIGNAL-field decode runs between the stages, on the already
 //! gathered carriers, before the per-stream fan-out.
 //!
@@ -64,9 +64,7 @@
 //! since every burst announces its own rate.
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
-use mimo_coding::{
-    bits, hard_to_llr, BatchViterbiWorkspace, CodeSpec, Scrambler, ViterbiDecoder,
-};
+use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
 use mimo_ofdm::{OfdmDemodulator, SubcarrierMap};
@@ -545,7 +543,7 @@ impl MimoReceiver {
             Some(s) if s.workspace.antennas.len() == self.cfg.n_streams() => s,
             _ => self.new_state(),
         };
-        let parallel = self.parallel_enabled();
+        let parallel = self.cfg.parallelism();
         let result = self
             .front_stage(&mut state.sync, &mut state.workspace, streams, parallel)
             .and_then(|front| self.back_stage(&mut state.workspace, &front, parallel));
@@ -669,7 +667,8 @@ impl MimoReceiver {
     /// The back (stream) stage of one burst: SIGNAL-field header
     /// decode (stream 0, most robust MCS), then per-stream runs of the
     /// per-symbol core at the announced rate over the carriers the
-    /// front stage gathered, then the round-robin payload reassembly.
+    /// front stage gathered, each closed by that stream's bit pipeline,
+    /// then the round-robin payload reassembly.
     pub(crate) fn back_stage(
         &self,
         workspace: &mut RxWorkspace,
@@ -689,7 +688,6 @@ impl MimoReceiver {
             antennas,
             streams: stream_ws,
             header,
-            batch,
         } = workspace;
         let freq: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
 
@@ -705,31 +703,18 @@ impl MimoReceiver {
             });
         }
 
-        // --- Payload: all streams, symbols h..h+n, announced MCS.
-        // Parallel mode decodes each stream on its own worker; serial
-        // mode gathers all four LLR streams and hands them to the
-        // batch Viterbi dispatcher in one pass instead. ---
+        // --- Payload: all streams, symbols h..h+n, announced MCS;
+        // each stream decodes its own bits on both schedules. ---
         let kit = self.rates.kit(params.mcs);
         let n_streams = geometry.n_streams();
         let run_stream = |k: usize, ws: &mut RxStreamWorkspace| -> Result<(), PhyError> {
             self.run_stream_symbols(k, ws, &freq, &front.h_inv, kit, h, n_symbols, true)?;
-            if parallel {
-                self.decode_stream(params.stream_bytes(k, n_streams), ws)?;
-            }
-            Ok(())
+            self.decode_stream(params.stream_bytes(k, n_streams), ws)
         };
         run_four(parallel, stream_ws, run_stream)?;
-        if !parallel {
-            self.decode_streams_batch(&params, n_streams, stream_ws, batch)?;
-        }
 
         let payload = assemble_payload(&params, n_streams, stream_ws)?;
         Ok(finish_result(front.event, params.mcs, n_symbols, stream_ws, payload))
-    }
-
-    /// Whether this burst should fan out across scoped threads.
-    fn parallel_enabled(&self) -> bool {
-        cfg!(feature = "parallel") && self.cfg.parallelism()
     }
 
     /// Stream `k`'s batch pass: the per-symbol core over symbols
@@ -780,35 +765,6 @@ impl MimoReceiver {
             &mut ws.decoded,
             &mut ws.bytes,
         )
-    }
-
-    /// All four streams' bit pipelines in one shot: the batch Viterbi
-    /// dispatcher decodes the four mother-code LLR streams (per-block
-    /// on the SIMD tier, bitsliced where the occupancy cost model says
-    /// that wins), then each stream finishes its descramble + byte
-    /// reassembly. The serial burst-close path — including every
-    /// [`BurstPipeline`](crate::BurstPipeline) back stage, which keeps
-    /// its threads for whole-stage overlap — comes through here.
-    fn decode_streams_batch(
-        &self,
-        params: &BurstParams,
-        n_streams: usize,
-        stream_ws: &mut [RxStreamWorkspace],
-        batch: &mut BatchViterbiWorkspace,
-    ) -> Result<(), PhyError> {
-        let blocks: [&[mimo_coding::Llr]; 4] =
-            std::array::from_fn(|k| stream_ws[k].stream_llrs.as_slice());
-        self.viterbi.decode_terminated_batch(&blocks, batch)?;
-        for (k, ws) in stream_ws.iter_mut().enumerate() {
-            std::mem::swap(&mut ws.decoded, &mut batch.outputs_mut()[k]);
-            finish_bit_pipeline(
-                self.cfg.scramble(),
-                params.stream_bytes(k, n_streams),
-                &mut ws.decoded,
-                &mut ws.bytes,
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -960,19 +916,6 @@ pub(crate) fn decode_bit_pipeline(
     bytes: &mut Vec<u8>,
 ) -> Result<(), PhyError> {
     viterbi.decode_terminated_into(llrs, viterbi_ws, decoded)?;
-    finish_bit_pipeline(scramble, expect_bytes, decoded, bytes)
-}
-
-/// The post-Viterbi half of the stream bit pipeline — descramble and
-/// cut exactly the announced bytes — split out so the batch decoder
-/// can run many streams through one Viterbi pass and still share the
-/// burst framing.
-pub(crate) fn finish_bit_pipeline(
-    scramble: bool,
-    expect_bytes: usize,
-    decoded: &mut [u8],
-    bytes: &mut Vec<u8>,
-) -> Result<(), PhyError> {
     if scramble {
         Scrambler::new(SCRAMBLER_SEED).scramble_in_place(decoded);
     }
@@ -1105,6 +1048,39 @@ mod tests {
             let result = rx.receive_burst(&burst.streams).unwrap();
             assert_eq!(result.payload, payload, "{mcs}");
             assert_eq!(result.diagnostics.mcs, mcs);
+        }
+    }
+
+    #[test]
+    fn every_viterbi_tier_decodes_the_receivers_bits_at_every_mcs() {
+        // One noisy burst per MCS row; each stream's mother-code LLRs are
+        // re-decoded on every kernel tier, and each tier must give
+        // exactly the (descrambled) bits the receiver decoded.
+        use mimo_channel::{AwgnChannel, ChannelModel};
+        use mimo_coding::{ViterbiKernel, ViterbiWorkspace};
+        let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
+        let mut rx = MimoReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
+        let mut chan = AwgnChannel::new(4, 20.0, 7);
+        let mut vws = ViterbiWorkspace::new();
+        let mut bits = Vec::new();
+        let tiers = [ViterbiKernel::Scalar, ViterbiKernel::Butterfly, ViterbiKernel::Simd];
+        let payload: Vec<u8> = (0..200).map(|i| (i * 29 + 3) as u8).collect();
+        for mcs in Mcs::ALL {
+            let burst = tx.transmit_burst_with(mcs, &payload).unwrap();
+            let result = rx.receive_burst(&chan.propagate(&burst.streams)).unwrap();
+            assert_eq!(result.diagnostics.mcs, mcs);
+            let streams = &rx.state.as_ref().unwrap().workspace.streams;
+            for (k, ws) in streams.iter().enumerate() {
+                for kernel in tiers {
+                    rx.viterbi
+                        .decode_terminated_with(kernel, &ws.stream_llrs, &mut vws, &mut bits)
+                        .unwrap();
+                    if rx.cfg.scramble() {
+                        Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut bits);
+                    }
+                    assert_eq!(bits, ws.decoded, "{mcs} stream {k} on {kernel:?}");
+                }
+            }
         }
     }
 

@@ -74,8 +74,8 @@ impl TxBurst {
 /// Owns a preallocated `TxWorkspace` (one scratch set per spatial
 /// channel, sized for the max-MCS envelope) so the per-symbol
 /// interleave → map → IFFT → CP loop runs without heap allocation at
-/// **any** MCS, and — with the `parallel` feature — fans the four
-/// channel pipelines out across scoped threads, mirroring the four
+/// **any** MCS, and — when [`PhyConfig::parallelism`] is on — fans the
+/// four channel pipelines out across scoped threads, mirroring the four
 /// parallel hardware chains of Fig 1.
 #[derive(Debug)]
 pub struct MimoTransmitter {
@@ -276,7 +276,7 @@ impl MimoTransmitter {
         // channels", each on its own workspace (and, in parallel mode,
         // its own thread).
         let kit = self.rates.kit(mcs);
-        let parallel = cfg!(feature = "parallel") && self.cfg.parallelism();
+        let parallel = self.cfg.parallelism();
         let mut work: Vec<(&mut [CQ15], &[u8], &mut TxStreamWorkspace)> = streams
             .iter_mut()
             .zip(&per_stream)

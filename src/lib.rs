@@ -96,16 +96,21 @@
 //! # }
 //! ```
 //!
-//! ## Cargo features
+//! ## Run-time choices, no cargo features
 //!
-//! * `parallel` (default) — fan the four spatial channels out across
-//!   scoped threads; serial builds stay bit-identical.
-//! * `simd` (default) — 8-lane SIMD tier of the butterfly Viterbi ACS
-//!   kernel (AVX2 behind runtime CPU detection, a portable-array tier
-//!   elsewhere), decode-for-decode bit-identical to the scalar and
-//!   butterfly kernels. Disable it (or enable the coding crate's
-//!   `scalar-kernel`) to pin the dispatch for differential runs; the
-//!   bitsliced many-burst batch decoder is always available.
+//! The crate has no cargo features: one build runs every schedule and
+//! every kernel tier, and both are chosen at run time.
+//!
+//! * **Schedule.** [`phy::PhyConfig::with_parallelism`] fans the four
+//!   spatial channels out across scoped threads or runs them in order
+//!   (the default is auto: parallel on multi-CPU hosts); the two
+//!   schedules are bit-identical.
+//! * **Viterbi kernel.** Each decode picks the 8-lane SIMD tier (AVX2
+//!   behind runtime CPU detection, a portable-array tier elsewhere),
+//!   the scalar butterfly or the scalar reference kernel from the code
+//!   shape and the LLR magnitudes; all three are decode-for-decode
+//!   bit-identical. [`coding::ViterbiKernel`] pins a tier for
+//!   differential runs.
 pub use mimo_fixed as fixed;
 
 /// CORDIC rotation/vectoring engines with the paper's 20-cycle pipeline.

@@ -35,45 +35,48 @@ fn perturb_tail(stream: &mut [CQ15], from: usize, amp: f64, seed: u64) {
 /// culprit.
 #[test]
 fn noise_on_stream_3_only_degrades_reported_evm() {
-    let cfg = PhyConfig::paper_synthesis();
-    let tx = MimoTransmitter::new(cfg.clone()).unwrap();
-    let mut rx = MimoReceiver::new(cfg).unwrap();
-    let payload: Vec<u8> = (0..180).map(|i| (i * 31 + 7) as u8).collect();
-    let burst = tx.transmit_burst_with(Mcs::Qpsk12, &payload).unwrap();
+    // Both receive schedules: serial and fanned out across threads.
+    for parallel in [false, true] {
+        let cfg = PhyConfig::paper_synthesis().with_parallelism(parallel);
+        let tx = MimoTransmitter::new(cfg.clone()).unwrap();
+        let mut rx = MimoReceiver::new(cfg).unwrap();
+        let payload: Vec<u8> = (0..180).map(|i| (i * 31 + 7) as u8).collect();
+        let burst = tx.transmit_burst_with(Mcs::Qpsk12, &payload).unwrap();
 
-    let clean = rx.receive_burst(&burst.streams).unwrap();
-    assert_eq!(clean.payload, payload);
+        let clean = rx.receive_burst(&burst.streams).unwrap();
+        assert_eq!(clean.payload, payload, "parallel {parallel}");
 
-    // Noise on stream 3's payload region only: the preamble (channel
-    // estimate) and stream 0's SIGNAL field stay clean.
-    let mut noisy = burst.streams.clone();
-    let payload_start =
-        tx.preamble_schedule().data_offset() + burst.header_symbols * 80;
-    perturb_tail(&mut noisy[3], payload_start, 0.015, 17);
-    let result = rx.receive_burst(&noisy).unwrap();
-    assert_eq!(result.payload, payload, "QPSK r=1/2 survives the noise");
+        // Noise on stream 3's payload region only: the preamble (channel
+        // estimate) and stream 0's SIGNAL field stay clean.
+        let mut noisy = burst.streams.clone();
+        let payload_start =
+            tx.preamble_schedule().data_offset() + burst.header_symbols * 80;
+        perturb_tail(&mut noisy[3], payload_start, 0.015, 17);
+        let result = rx.receive_burst(&noisy).unwrap();
+        assert_eq!(result.payload, payload, "QPSK r=1/2 survives the noise (parallel {parallel})");
 
-    let (cq, nq) = (&clean.diagnostics.quality, &result.diagnostics.quality);
-    assert_eq!(nq.per_stream_evm_db.len(), 4);
-    // The aggregate must see the drowning stream (ws0-only reporting
-    // stays within ~1 dB of clean and fails this).
-    assert!(
-        nq.evm_db > cq.evm_db + 6.0,
-        "aggregate EVM must degrade: clean {} dB, noisy {} dB",
-        cq.evm_db,
-        nq.evm_db
-    );
-    // The per-stream breakdown names the culprit.
-    assert!(
-        nq.per_stream_evm_db[3] > nq.per_stream_evm_db[0] + 6.0,
-        "stream 3 must report the damage: {:?}",
-        nq.per_stream_evm_db
-    );
-    assert_eq!(
-        nq.worst_stream_evm_db().to_bits(),
-        nq.per_stream_evm_db[3].to_bits(),
-        "worst-stream figure tracks stream 3"
-    );
+        let (cq, nq) = (&clean.diagnostics.quality, &result.diagnostics.quality);
+        assert_eq!(nq.per_stream_evm_db.len(), 4);
+        // The aggregate must see the drowning stream (ws0-only reporting
+        // stays within ~1 dB of clean and fails this).
+        assert!(
+            nq.evm_db > cq.evm_db + 6.0,
+            "aggregate EVM must degrade (parallel {parallel}): clean {} dB, noisy {} dB",
+            cq.evm_db,
+            nq.evm_db
+        );
+        // The per-stream breakdown names the culprit.
+        assert!(
+            nq.per_stream_evm_db[3] > nq.per_stream_evm_db[0] + 6.0,
+            "stream 3 must report the damage: {:?}",
+            nq.per_stream_evm_db
+        );
+        assert_eq!(
+            nq.worst_stream_evm_db().to_bits(),
+            nq.per_stream_evm_db[3].to_bits(),
+            "worst-stream figure tracks stream 3"
+        );
+    }
 }
 
 /// Every MCS row through a lossless channel: all EVM figures are

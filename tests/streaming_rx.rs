@@ -94,26 +94,41 @@ fn assert_bit_identical(got: &RxResult, want: &RxResult, offset: usize, tag: &st
 #[test]
 fn streaming_bit_identical_across_mcs_grid_and_chunk_sizes() {
     let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
-    let mut batch = MimoReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
+    // The batch reference runs on both schedules: serial and fanned out.
+    let mut batch: Vec<(MimoReceiver, &str)> = [(false, "serial"), (true, "parallel")]
+        .into_iter()
+        .map(|(on, name)| {
+            let geometry = LinkGeometry::mimo().with_parallelism(on);
+            (MimoReceiver::from_geometry(geometry).unwrap(), name)
+        })
+        .collect();
     let mut streaming = StreamingReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
     for mcs in Mcs::ALL {
         let payload = payload_for(mcs);
         let burst = tx.transmit_burst_with(mcs, &payload).unwrap();
-        let want = batch.receive_burst(&burst.streams).unwrap();
+        let wants: Vec<(RxResult, &str)> = batch
+            .iter_mut()
+            .map(|(rx, name)| (rx.receive_burst(&burst.streams).unwrap(), *name))
+            .collect();
         let whole = burst.streams[0].len();
         for chunk in [1usize, 13, SYM_LEN, whole] {
             let mut rx = StreamingReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
             let got = feed_chunks(&mut rx, &burst.streams, chunk);
             assert_eq!(got.len(), 1, "{mcs} chunk {chunk}: burst count");
-            assert_bit_identical(&got[0].result, &want, 0, &format!("{mcs} chunk {chunk}"));
+            for (want, name) in &wants {
+                let tag = format!("{mcs} chunk {chunk} vs {name} batch");
+                assert_bit_identical(&got[0].result, want, 0, &tag);
+            }
         }
         // One long-lived receiver across the whole grid (no rebuild
         // between rates), fed with a ragged chunk size.
         let got = feed_chunks(&mut streaming, &burst.streams, 29);
         assert_eq!(got.len(), 1, "{mcs}: shared receiver");
-        let shift =
-            got[0].result.diagnostics.sync.lts_start - want.diagnostics.sync.lts_start;
-        assert_bit_identical(&got[0].result, &want, shift, &format!("{mcs}: shared"));
+        for (want, name) in &wants {
+            let shift = got[0].result.diagnostics.sync.lts_start - want.diagnostics.sync.lts_start;
+            let tag = format!("{mcs}: shared vs {name} batch");
+            assert_bit_identical(&got[0].result, want, shift, &tag);
+        }
     }
 }
 
