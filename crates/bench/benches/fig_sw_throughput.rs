@@ -4,10 +4,9 @@
 //! the software model itself (bursts/sec and payload Mbit/s), at the
 //! paper's two named operating points, in three schedules: serial,
 //! parallel (4 scoped threads, one per spatial channel) and the
-//! batch-of-bursts `BurstPipeline` (persistent worker pool overlapping
-//! the antenna stage of burst *n+1* with the stream stage of burst
-//! *n*; on a 1-CPU host it degrades to the serial schedule, so its row
-//! then tracks the serial one).
+//! batch-of-bursts `BurstPipeline` (a per-batch scoped crew decoding
+//! one whole burst per member; on a 1-CPU host the caller runs the
+//! batch alone, so its row then tracks the serial one).
 //!
 //! This is the trajectory metric for the ROADMAP's "as fast as the
 //! hardware allows" goal: the workspace + parallelism refactor is
@@ -78,7 +77,7 @@ fn measure_bursts_per_sec(cfg: &PhyConfig, mcs: Option<Mcs>, budget: Duration) -
     bursts as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Bursts per `process_batch` call in pipeline mode.
+/// Bursts per `process_batch_ref` call in pipeline mode.
 const PIPELINE_BATCH: usize = 8;
 
 /// Batched pipeline measurement: bursts/sec including transmit and
@@ -97,8 +96,8 @@ fn measure_pipeline_bursts_per_sec(cfg: &PhyConfig, budget: Duration) -> f64 {
             })
             .collect()
     };
-    // Warm the workspace pool and pin correctness.
-    for result in pipe.process_batch(make_batch(&mut chan)) {
+    // Warm the crew's workspaces and pin correctness.
+    for result in pipe.process_batch_ref(&make_batch(&mut chan)) {
         assert_eq!(result.expect("rx").payload, data, "loopback must be lossless");
     }
 
@@ -106,7 +105,7 @@ fn measure_pipeline_bursts_per_sec(cfg: &PhyConfig, budget: Duration) -> f64 {
     let mut bursts = 0u64;
     while start.elapsed() < budget || bursts < 3 {
         let batch = make_batch(&mut chan);
-        for result in pipe.process_batch(batch) {
+        for result in pipe.process_batch_ref(&batch) {
             criterion::black_box(result.expect("rx").payload.len());
         }
         bursts += PIPELINE_BATCH as u64;

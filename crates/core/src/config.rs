@@ -18,8 +18,9 @@ use crate::signal::{FLUSH_BITS, SIGNAL_BITS};
 
 /// Cached `std::thread::available_parallelism()` (1 when unknown).
 /// Scoped-thread fan-out on a 1-CPU host is pure overhead — measurably
-/// *slower* than the serial schedule — so the auto mode consults this
-/// once per process.
+/// *slower* than the serial schedule — so [`LinkGeometry::mimo`] and
+/// the batch receiver's auto worker count consult this once per
+/// process.
 pub(crate) fn host_parallelism() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| {
@@ -58,14 +59,15 @@ pub struct LinkGeometry {
     clock_hz: f64,
     scramble: bool,
     soft_decoding: bool,
-    /// `None` = auto: parallel exactly when the host has more than one
-    /// CPU. `Some(x)` = explicit override.
-    parallel: Option<bool>,
+    /// Scoped-thread fan-out of the spatial channels; defaults to on
+    /// exactly when the host has more than one CPU.
+    parallel: bool,
 }
 
 impl LinkGeometry {
     /// The paper's 4×4 MIMO geometry: 64-point OFDM at the 100 MHz
-    /// achieved clock.
+    /// achieved clock, with the per-channel fan-out on exactly when the
+    /// host has more than one CPU.
     pub fn mimo() -> Self {
         Self {
             n_streams: 4,
@@ -73,7 +75,7 @@ impl LinkGeometry {
             clock_hz: 100.0e6,
             scramble: true,
             soft_decoding: true,
-            parallel: None,
+            parallel: host_parallelism() > 1,
         }
     }
 
@@ -117,17 +119,11 @@ impl LinkGeometry {
         self
     }
 
-    /// Explicitly enables or disables the scoped-thread fan-out of the
-    /// spatial channels, overriding the default auto mode (parallel
-    /// exactly when the host has more than one CPU).
+    /// Enables or disables the scoped-thread fan-out of the spatial
+    /// channels (default: on exactly when the host has more than one
+    /// CPU).
     pub fn with_parallelism(mut self, on: bool) -> Self {
-        self.parallel = Some(on);
-        self
-    }
-
-    /// Restores the default auto parallelism mode.
-    pub fn with_auto_parallelism(mut self) -> Self {
-        self.parallel = None;
+        self.parallel = on;
         self
     }
 
@@ -181,15 +177,9 @@ impl LinkGeometry {
         self.soft_decoding
     }
 
-    /// Whether the per-stream hot paths run on scoped threads: the
-    /// explicit [`LinkGeometry::with_parallelism`] override when set,
-    /// otherwise auto (parallel exactly on multi-CPU hosts).
+    /// Whether the per-stream hot paths run on scoped threads (see
+    /// [`LinkGeometry::with_parallelism`]).
     pub fn parallelism(&self) -> bool {
-        self.parallel.unwrap_or_else(|| host_parallelism() > 1)
-    }
-
-    /// The explicit parallelism override, or `None` in auto mode.
-    pub fn parallelism_override(&self) -> Option<bool> {
         self.parallel
     }
 
@@ -345,22 +335,14 @@ impl PhyConfig {
         self
     }
 
-    /// Explicitly enables or disables the scoped-thread fan-out of the
-    /// four spatial channels in `transmit_burst` / `receive_burst`,
-    /// overriding the default auto mode (parallel exactly when the
-    /// host has more than one CPU — fan-out on a 1-CPU host is pure
-    /// overhead). Both modes produce bit-identical results, mirroring
-    /// the four independent hardware channel pipelines of the paper.
+    /// Enables or disables the scoped-thread fan-out of the four
+    /// spatial channels in `transmit_burst` / `receive_burst`. The
+    /// default is on exactly when the host has more than one CPU
+    /// (fan-out on a 1-CPU host is pure overhead). Both schedules
+    /// produce bit-identical results, mirroring the four independent
+    /// hardware channel pipelines of the paper.
     pub fn with_parallelism(mut self, on: bool) -> Self {
         self.geometry = self.geometry.with_parallelism(on);
-        self
-    }
-
-    /// Restores the default auto parallelism mode: fan out exactly
-    /// when `std::thread::available_parallelism()` reports more than
-    /// one CPU.
-    pub fn with_auto_parallelism(mut self) -> Self {
-        self.geometry = self.geometry.with_auto_parallelism();
         self
     }
 
@@ -422,16 +404,10 @@ impl PhyConfig {
         self.geometry.soft_decoding()
     }
 
-    /// Whether the per-stream hot paths run on scoped threads: the
-    /// explicit [`PhyConfig::with_parallelism`] override when set,
-    /// otherwise auto (parallel exactly on multi-CPU hosts).
+    /// Whether the per-stream hot paths run on scoped threads (see
+    /// [`PhyConfig::with_parallelism`]).
     pub fn parallelism(&self) -> bool {
         self.geometry.parallelism()
-    }
-
-    /// The explicit parallelism override, or `None` in auto mode.
-    pub fn parallelism_override(&self) -> Option<bool> {
-        self.geometry.parallelism_override()
     }
 
     /// Baseband clock (= sample rate), Hz. The paper achieves 100 MHz.
@@ -549,19 +525,14 @@ mod tests {
 
     #[test]
     fn auto_parallelism_tracks_host_cpus() {
-        let auto = PhyConfig::paper_synthesis();
-        assert_eq!(auto.parallelism_override(), None);
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        assert_eq!(auto.parallelism(), threads > 1);
-        // Explicit overrides win regardless of host shape.
+        assert_eq!(PhyConfig::paper_synthesis().parallelism(), threads > 1);
+        assert_eq!(LinkGeometry::siso().parallelism(), threads > 1);
+        // An explicit setting wins regardless of host shape.
         assert!(PhyConfig::paper_synthesis().with_parallelism(true).parallelism());
         assert!(!PhyConfig::paper_synthesis().with_parallelism(false).parallelism());
-        let restored = PhyConfig::paper_synthesis()
-            .with_parallelism(true)
-            .with_auto_parallelism();
-        assert_eq!(restored.parallelism_override(), None);
     }
 
     #[test]

@@ -84,12 +84,6 @@ pub enum PhyError {
     /// only reachable through hostile or discontinuous input). The
     /// receiver has re-armed; the burst in flight is lost.
     Desync(String),
-    /// The decode pipeline's worker infrastructure failed — a worker
-    /// thread could not be spawned (OS thread limit), or a burst's
-    /// result slot was never filled. Not a signal-path error: the
-    /// samples themselves may be fine; reconfigure the pipeline (e.g.
-    /// fewer workers) and resubmit.
-    Pipeline(String),
 }
 
 impl fmt::Display for PhyError {
@@ -126,9 +120,6 @@ impl fmt::Display for PhyError {
             ),
             PhyError::Desync(msg) => {
                 write!(f, "stream bookkeeping desynchronised: {msg}")
-            }
-            PhyError::Pipeline(msg) => {
-                write!(f, "decode pipeline failure: {msg}")
             }
         }
     }
@@ -196,9 +187,6 @@ mod tests {
         let full = PhyError::QueueFull { capacity: 8 };
         assert!(full.to_string().contains('8'), "{full}");
         assert!(full.to_string().contains("queue full"), "{full}");
-        let pipe = PhyError::Pipeline("spawn failed".into());
-        assert!(pipe.to_string().contains("pipeline"), "{pipe}");
-        assert!(pipe.to_string().contains("spawn failed"), "{pipe}");
     }
 
     #[test]

@@ -39,9 +39,10 @@
 //!   (QRD pipeline) → SIGNAL parse → zero-forcing detect → pilot
 //!   phase/timing correct → demap → deinterleave → Viterbi, ×4
 //!   channels at the announced rate.
-//! * [`SisoTransmitter`] / [`SisoReceiver`] — the 1×1 baseline system
-//!   the paper's resource comparisons reference, sharing the same
-//!   burst framing *and the same per-symbol receive core*.
+//! * [`SisoReceiver`] — the receive half of the 1×1 baseline system
+//!   the paper's resource comparisons reference (its transmit half is
+//!   a [`MimoTransmitter`] built from [`LinkGeometry::siso`]), sharing
+//!   the same burst framing *and the same per-symbol receive core*.
 //! * [`StreamingReceiver`] — the chunk-driven receiver core:
 //!   [`StreamingReceiver::push_samples`] consumes arbitrary-size
 //!   sample chunks and emits [`ReceivedBurst`]s as they complete,
@@ -54,11 +55,12 @@
 //!   bit-identical to concatenated batch bursts; pair it with the
 //!   `mimo_transport` crate to carry the chunks over framed links
 //!   (rings, files, sockets) with CRC, sequencing and fault recovery.
-//! * [`BurstPipeline`] — persistent worker-pool batch receiver that
-//!   overlaps the antenna stage of burst *n+1* with the stream stage
-//!   of burst *n*, recycling workspaces through a pool; batches may
-//!   freely mix rates, and [`BurstPipeline::process_batch_ref`]
-//!   decodes borrowed stream views without copying.
+//! * [`BurstPipeline`] — the batch receiver:
+//!   [`BurstPipeline::process_batch_ref`] decodes one whole burst per
+//!   crew member on a per-batch scoped crew (the caller plus spawned
+//!   helpers), keeping one workspace per member between batches;
+//!   batches may freely mix rates, and borrowed stream views decode
+//!   without copying.
 //! * [`LinkSimulation`] — end-to-end BER/PER measurement harness, with
 //!   [`LinkSimulation::sweep_mcs`] covering the whole rate grid
 //!   through one transceiver pair and
@@ -91,9 +93,9 @@
 //!   round-robin reassembly close a burst.
 //!
 //! [`MimoReceiver::receive_burst`] runs that core over a stored
-//! capture in two parallel stages; [`BurstPipeline`] overlaps those
-//! stages across bursts; [`StreamingReceiver`] advances a per-symbol
-//! state machine (`Searching → Estimating → HeaderDecode →
+//! capture in two parallel stages; [`BurstPipeline`] runs those
+//! stages on whole bursts in parallel; [`StreamingReceiver`] advances
+//! a per-symbol state machine (`Searching → Estimating → HeaderDecode →
 //! Payload{symbol_idx}`) as chunks arrive. Because there is only one
 //! implementation of each stage, the three modes are **bit-identical
 //! by construction** — enforced for every MCS row and chunk sizes
@@ -129,15 +131,15 @@
 //!   runs between the stages on the already-gathered carriers. Each
 //!   output cell is computed by exactly one worker in a fixed order,
 //!   so parallel and serial schedules are **bit-identical** (asserted
-//!   by the `parallel_determinism` integration suite). The default is
-//!   *auto*: fan-out engages only when
-//!   `std::thread::available_parallelism()` reports more than one CPU.
-//! * **Batch-of-bursts pipelining.** [`BurstPipeline`] keeps a
-//!   persistent worker pool fed with whole-burst stages, recycles
-//!   `RxWorkspace`s through a pool, decodes mixed-rate batches on one
-//!   pool, and degrades to the serial schedule on a single CPU —
-//!   bit-identical to `receive_burst` in every schedule (asserted by
-//!   the `burst_pipeline` and `signal_field` suites).
+//!   by the `parallel_determinism` integration suite). Fan-out is on
+//!   by default exactly when `std::thread::available_parallelism()`
+//!   reports more than one CPU.
+//! * **Batch-of-bursts parallelism.** [`BurstPipeline`] decodes a
+//!   batch on a per-batch scoped crew, one whole burst per member,
+//!   with one `RxWorkspace` per member kept between batches; it
+//!   decodes mixed-rate batches and runs in the caller alone on a
+//!   single CPU — bit-identical to `receive_burst` in every schedule
+//!   (asserted by the `burst_pipeline` and `signal_field` suites).
 //!
 //! Throughput of the software model is tracked by the
 //! `fig_sw_throughput` bench (`cargo bench -p mimo_bench --bench
@@ -290,9 +292,9 @@ pub use config::{LinkGeometry, PhyConfig};
 pub use error::PhyError;
 pub use link::{AdaptiveBurstRecord, AdaptiveTrace, BerPoint, LinkSimulation};
 pub use mcs::{BurstParams, Mcs};
-pub use pipeline::{BurstPipeline, BurstStreams};
+pub use pipeline::BurstPipeline;
 pub use rx::{ChannelQuality, MimoReceiver, RxDiagnostics, RxResult, EVM_FLOOR_DB};
-pub use siso::{SisoReceiver, SisoTransmitter};
+pub use siso::SisoReceiver;
 pub use stream::{ReceivedBurst, StreamingReceiver};
 pub use tx::{MimoTransmitter, TxBurst};
 pub use txstream::StreamingTransmitter;

@@ -11,7 +11,7 @@ use crate::config::PhyConfig;
 use crate::error::PhyError;
 use crate::mcs::Mcs;
 use crate::rx::{MimoReceiver, RxResult};
-use crate::siso::{SisoReceiver, SisoTransmitter};
+use crate::siso::SisoReceiver;
 use crate::tx::MimoTransmitter;
 
 /// One measured operating point of a BER sweep.
@@ -145,7 +145,7 @@ enum Endpoints {
     // Boxed: each endpoint carries its preallocated workspaces, and
     // the 4×4 pair would otherwise dwarf the 1×1 variant inline.
     Mimo(Box<MimoTransmitter>, Box<MimoReceiver>),
-    Siso(Box<SisoTransmitter>, Box<SisoReceiver>),
+    Siso(Box<MimoTransmitter>, Box<SisoReceiver>),
 }
 
 impl LinkSimulation {
@@ -163,7 +163,7 @@ impl LinkSimulation {
             )
         } else {
             Endpoints::Siso(
-                Box::new(SisoTransmitter::new(cfg.clone())?),
+                Box::new(MimoTransmitter::new(cfg.clone())?),
                 Box::new(SisoReceiver::new(cfg.clone())?),
             )
         };

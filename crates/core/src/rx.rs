@@ -29,8 +29,8 @@
 //!   reassembly ([`assemble_payload`]) close a burst.
 //!
 //! [`MimoReceiver::receive_burst`] (whole capture, two parallel
-//! stages), [`BurstPipeline`](crate::BurstPipeline) (batched stage
-//! overlap) and [`StreamingReceiver`](crate::StreamingReceiver)
+//! stages), [`BurstPipeline`](crate::BurstPipeline) (whole bursts in
+//! parallel across a batch) and [`StreamingReceiver`](crate::StreamingReceiver)
 //! (chunked ingest, per-symbol state machine) are all thin drivers of
 //! these pieces, so their outputs are bit-identical by construction —
 //! enforced by `tests/streaming_rx.rs`, `tests/burst_pipeline.rs` and
@@ -55,13 +55,13 @@
 //! The SIGNAL-field decode runs between the stages, on the already
 //! gathered carriers, before the per-stream fan-out.
 //!
-//! The two stages are also the receiver's pipeline seam: `front_stage`
-//! (sync + estimation + stage 1) and `back_stage` (header parse +
-//! stage 2 + reassembly) take the sync FSM and workspace as explicit
-//! arguments, so [`BurstPipeline`](crate::BurstPipeline) can overlap
-//! the front stage of burst *n+1* with the back stage of burst *n*
-//! across a persistent worker pool — including **mixed-rate batches**,
-//! since every burst announces its own rate.
+//! The two stages, `front_stage` (sync + estimation + stage 1) and
+//! `back_stage` (header parse + stage 2 + reassembly), take the sync
+//! FSM and workspace as explicit arguments instead of owning them, so
+//! [`BurstPipeline`](crate::BurstPipeline) can run one whole burst per
+//! crew member, each on its own state, against one shared receiver —
+//! including **mixed-rate batches**, since every burst announces its
+//! own rate.
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
 use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
@@ -179,8 +179,8 @@ pub struct RxResult {
 
 /// Mutable per-burst receiver state: the time-sync FSM and the scratch
 /// workspace. It lives apart from the receiver's immutable tables so
-/// the [`BurstPipeline`](crate::BurstPipeline) can run many states
-/// against one shared receiver across worker threads.
+/// the [`BurstPipeline`](crate::BurstPipeline) can give each crew
+/// member its own state against one shared receiver.
 #[derive(Debug, Clone)]
 pub(crate) struct RxState {
     pub(crate) sync: TimeSynchronizer,
@@ -415,8 +415,8 @@ impl MimoReceiver {
     }
 
     /// Builds a fresh sync FSM + workspace pair for this receiver's
-    /// geometry (used at construction, after a mid-burst panic, and by
-    /// the [`BurstPipeline`](crate::BurstPipeline) workspace pool).
+    /// geometry (used at construction, after a mid-burst panic, and
+    /// once per [`BurstPipeline`](crate::BurstPipeline) crew member).
     pub(crate) fn new_state(&self) -> RxState {
         RxState {
             sync: self.sync.clone(),
@@ -556,8 +556,8 @@ impl MimoReceiver {
     /// gather into the workspace. Entirely rate-independent — it runs
     /// before the SIGNAL field is parsed. `parallel` fans the antenna
     /// loop out across scoped threads; the
-    /// [`BurstPipeline`](crate::BurstPipeline) passes `false` and
-    /// overlaps whole stages across bursts instead.
+    /// [`BurstPipeline`](crate::BurstPipeline) passes `false` and runs
+    /// whole bursts in parallel instead.
     pub(crate) fn front_stage<S>(
         &self,
         sync: &mut TimeSynchronizer,

@@ -1,10 +1,13 @@
-//! The 1×1 SISO baseline transceiver.
+//! The 1×1 SISO baseline receiver.
 //!
 //! §V of the paper compares every MIMO entity against "the SISO
 //! system": the same chain with one channel, no QRD (equalization is a
 //! single complex multiply per carrier) and a two-slot preamble. The
-//! burst format is the same rate-agile one as the 4×4 chain: SIGNAL
-//! header first (BPSK r=1/2), payload at the announced [`Mcs`].
+//! transmit side needs no second type: a
+//! [`MimoTransmitter`](crate::MimoTransmitter) built from a 1-stream
+//! geometry emits the STS + single-LTS preamble and the same
+//! rate-agile burst format as the 4×4 chain: SIGNAL header first
+//! (BPSK r=1/2), payload at the announced [`Mcs`].
 //!
 //! The receive datapath is the **same per-symbol core** as the 4×4
 //! chain: [`SymbolIngest`](mimo_ofdm::SymbolIngest) for CP strip +
@@ -27,68 +30,7 @@ use crate::error::PhyError;
 use crate::mcs::Mcs;
 use crate::rates::RateTable;
 use crate::rx::{finish_result, parse_header_ws, RxResult, SymbolPost};
-use crate::tx::{MimoTransmitter, TxBurst};
 use crate::workspace::{RxAntennaWorkspace, RxStreamWorkspace, RxWorkspace};
-
-/// The SISO transmitter: one instance of the Fig 1 per-channel chain
-/// with an STS + single-LTS preamble and the same SIGNAL-field burst
-/// framing as the MIMO chain.
-#[derive(Debug, Clone)]
-pub struct SisoTransmitter {
-    inner: MimoTransmitter,
-}
-
-impl SisoTransmitter {
-    /// Builds the transmitter (requires `n_streams == 1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::BadConfig`] otherwise.
-    pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
-        cfg.validate()?;
-        if cfg.n_streams() != 1 {
-            return Err(PhyError::BadConfig(format!(
-                "SisoTransmitter requires 1 stream, got {}",
-                cfg.n_streams()
-            )));
-        }
-        Ok(Self {
-            inner: MimoTransmitter::build(cfg)?,
-        })
-    }
-
-    /// Builds a transmitter from the static link geometry alone.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`SisoTransmitter::new`].
-    pub fn from_geometry(geometry: LinkGeometry) -> Result<Self, PhyError> {
-        Self::new(PhyConfig::from_geometry(geometry))
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PhyConfig {
-        self.inner.config()
-    }
-
-    /// Transmits one burst on the single antenna at the default MCS.
-    ///
-    /// # Errors
-    ///
-    /// See [`MimoTransmitter::transmit_burst`].
-    pub fn transmit_burst(&self, payload: &[u8]) -> Result<TxBurst, PhyError> {
-        self.inner.transmit_burst(payload)
-    }
-
-    /// Transmits one burst at an explicit per-burst MCS.
-    ///
-    /// # Errors
-    ///
-    /// See [`MimoTransmitter::transmit_burst_with`].
-    pub fn transmit_burst_with(&self, mcs: Mcs, payload: &[u8]) -> Result<TxBurst, PhyError> {
-        self.inner.transmit_burst_with(mcs, payload)
-    }
-}
 
 /// The SISO receiver: scalar channel estimation from one LTS,
 /// single-multiply equalization per carrier, and the same auto-rate
@@ -319,11 +261,12 @@ impl SisoReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::MimoTransmitter;
 
     #[test]
     fn siso_loopback() {
         let cfg = PhyConfig::siso();
-        let tx = SisoTransmitter::new(cfg.clone()).unwrap();
+        let tx = MimoTransmitter::new(cfg.clone()).unwrap();
         let mut rx = SisoReceiver::new(cfg).unwrap();
         let payload: Vec<u8> = (0..80).map(|i| (i * 29 + 3) as u8).collect();
         let burst = tx.transmit_burst(&payload).unwrap();
@@ -345,7 +288,7 @@ mod tests {
         // the 4×4 chain; decoding one capture twice must produce
         // bit-identical ChannelQuality.
         let cfg = PhyConfig::siso();
-        let tx = SisoTransmitter::new(cfg.clone()).unwrap();
+        let tx = MimoTransmitter::new(cfg.clone()).unwrap();
         let mut rx = SisoReceiver::new(cfg).unwrap();
         let payload: Vec<u8> = (0..120).map(|i| (i * 7 + 5) as u8).collect();
         let burst = tx.transmit_burst_with(Mcs::Qam64R23, &payload).unwrap();
@@ -364,20 +307,19 @@ mod tests {
     #[test]
     fn siso_preamble_is_two_fields() {
         let cfg = PhyConfig::siso();
-        let tx = SisoTransmitter::new(cfg).unwrap();
-        assert_eq!(tx.inner.preamble_schedule().data_offset(), 320);
+        let tx = MimoTransmitter::new(cfg).unwrap();
+        assert_eq!(tx.preamble_schedule().data_offset(), 320);
     }
 
     #[test]
     fn siso_rejects_mimo_config() {
-        assert!(SisoTransmitter::new(PhyConfig::paper_synthesis()).is_err());
         assert!(SisoReceiver::new(PhyConfig::paper_synthesis()).is_err());
     }
 
     #[test]
     fn siso_auto_rate_all_mcs() {
         // A geometry-only receiver decodes every table rate.
-        let tx = SisoTransmitter::from_geometry(LinkGeometry::siso()).unwrap();
+        let tx = MimoTransmitter::from_geometry(LinkGeometry::siso()).unwrap();
         let mut rx = SisoReceiver::from_geometry(LinkGeometry::siso()).unwrap();
         for mcs in Mcs::ALL {
             let payload: Vec<u8> = (0..32).map(|i| (i * 11) as u8).collect();

@@ -146,7 +146,7 @@ enum Phase {
 }
 
 /// The chunk-driven 4×4 receiver: one `push_samples` datapath that
-/// batch ([`MimoReceiver::receive_burst`]) and pipelined
+/// batch ([`MimoReceiver::receive_burst`]) and batch-of-bursts
 /// ([`crate::BurstPipeline`]) reception are schedules of. See the
 /// module docs.
 #[derive(Debug)]

@@ -76,7 +76,8 @@ impl TxBurst {
 /// interleave → map → IFFT → CP loop runs without heap allocation at
 /// **any** MCS, and — when [`PhyConfig::parallelism`] is on — fans the
 /// four channel pipelines out across scoped threads, mirroring the four
-/// parallel hardware chains of Fig 1.
+/// parallel hardware chains of Fig 1. Built from a 1-stream geometry it
+/// is the SISO baseline transmitter.
 #[derive(Debug)]
 pub struct MimoTransmitter {
     cfg: PhyConfig,
@@ -107,42 +108,19 @@ impl Clone for MimoTransmitter {
 }
 
 impl MimoTransmitter {
-    /// Builds the transmitter for a 4-stream configuration. The
-    /// configuration's modulation × code rate selects the **default**
-    /// MCS for [`MimoTransmitter::transmit_burst`] and must be a table
-    /// row; [`MimoTransmitter::transmit_burst_with`] overrides it per
-    /// burst.
+    /// Builds the transmitter for a 4-stream configuration, or for the
+    /// 1-stream SISO baseline (STS + single-LTS preamble, same burst
+    /// framing). The configuration's modulation × code rate selects
+    /// the **default** MCS for [`MimoTransmitter::transmit_burst`] and
+    /// must be a table row; [`MimoTransmitter::transmit_burst_with`]
+    /// overrides it per burst.
     ///
     /// # Errors
     ///
-    /// Returns [`PhyError::BadConfig`] for invalid configurations
-    /// (including `n_streams != 4`; use [`crate::SisoTransmitter`] for
-    /// the baseline) and for modulation × rate pairs outside the MCS
-    /// table.
+    /// Returns [`PhyError::BadConfig`] for invalid configurations and
+    /// for modulation × rate pairs outside the MCS table.
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
         cfg.validate()?;
-        if cfg.n_streams() != 4 {
-            return Err(PhyError::BadConfig(format!(
-                "MimoTransmitter requires 4 streams, got {}",
-                cfg.n_streams()
-            )));
-        }
-        Self::build(cfg)
-    }
-
-    /// Builds a transmitter from the static link geometry alone; the
-    /// default MCS is the paper's synthesis point (16-QAM r=1/2), and
-    /// every burst may pick its own rate via
-    /// [`MimoTransmitter::transmit_burst_with`].
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`MimoTransmitter::new`].
-    pub fn from_geometry(geometry: crate::LinkGeometry) -> Result<Self, PhyError> {
-        Self::new(PhyConfig::from_geometry(geometry))
-    }
-
-    pub(crate) fn build(cfg: PhyConfig) -> Result<Self, PhyError> {
         let default_mcs = cfg.mcs()?;
         let rates = RateTable::new(cfg.geometry())?;
         let modulator = OfdmModulator::new(cfg.fft_size())?;
@@ -163,6 +141,18 @@ impl MimoTransmitter {
             lts,
             workspace,
         })
+    }
+
+    /// Builds a transmitter from the static link geometry alone; the
+    /// default MCS is the paper's synthesis point (16-QAM r=1/2), and
+    /// every burst may pick its own rate via
+    /// [`MimoTransmitter::transmit_burst_with`].
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`MimoTransmitter::new`].
+    pub fn from_geometry(geometry: crate::LinkGeometry) -> Result<Self, PhyError> {
+        Self::new(PhyConfig::from_geometry(geometry))
     }
 
     fn make_workspace(&self) -> TxWorkspace {

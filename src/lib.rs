@@ -103,7 +103,7 @@
 //!
 //! * **Schedule.** [`phy::PhyConfig::with_parallelism`] fans the four
 //!   spatial channels out across scoped threads or runs them in order
-//!   (the default is auto: parallel on multi-CPU hosts); the two
+//!   (the default is parallel exactly on multi-CPU hosts); the two
 //!   schedules are bit-identical.
 //! * **Viterbi kernel.** Each decode picks the 8-lane SIMD tier (AVX2
 //!   behind runtime CPU detection, a portable-array tier elsewhere),

@@ -1,14 +1,14 @@
-//! The batch-of-bursts pipeline must be bit-identical to serial
+//! The batch-of-bursts receiver must be bit-identical to serial
 //! per-burst processing.
 //!
-//! `BurstPipeline` overlaps the antenna stage of burst *n+1* with the
-//! stream stage of burst *n* across a persistent worker pool, recycling
-//! workspaces between bursts. Every burst still runs the exact
-//! front/back code of the serial receiver, so for any batch size and
-//! any worker count the payloads and diagnostics must match
-//! `receive_burst` exactly — this suite pins that, including the
-//! degraded 1-worker (serial in-caller) schedule and per-burst error
-//! isolation.
+//! `BurstPipeline::process_batch_ref` decodes whole bursts in parallel
+//! on a per-batch scoped crew (the calling thread plus spawned
+//! helpers), each member reusing its own workspace between batches.
+//! Every burst still runs the exact front/back code of the serial
+//! receiver, so for any batch size and any worker count the payloads
+//! and diagnostics must match `receive_burst` exactly — this suite
+//! pins that, including the 1-worker (in-caller) schedule, crews
+//! larger than the batch, and per-burst error isolation.
 
 use mimo_baseband::channel::{AwgnChannel, ChannelModel, IdealChannel};
 use mimo_baseband::fixed::CQ15;
@@ -92,14 +92,14 @@ fn assert_results_identical(got: &[Result<RxResult, mimo_baseband::phy::PhyError
 #[test]
 fn pipeline_matches_serial_for_any_batch_size() {
     let cfg = PhyConfig::paper_synthesis();
-    // 4 workers forces the threaded stage-overlap schedule even on a
-    // 1-CPU host; 1 worker forces the degraded serial schedule.
+    // 4 workers forces the threaded crew even on a 1-CPU host;
+    // 1 worker forces the in-caller schedule.
     for workers in [1usize, 4] {
         let mut pipe = BurstPipeline::with_workers(cfg.clone(), workers).unwrap();
         for batch in [0usize, 1, 2, 5] {
             let (_, bursts) = make_batch(&cfg, batch);
             let want = serial_reference(&cfg, &bursts);
-            let got = pipe.process_batch(bursts);
+            let got = pipe.process_batch_ref(&bursts);
             assert_results_identical(&got, &want);
         }
     }
@@ -110,7 +110,7 @@ fn pipeline_recovers_payloads_at_gigabit_point() {
     let cfg = PhyConfig::gigabit();
     let (payloads, bursts) = make_batch(&cfg, 4);
     let mut pipe = BurstPipeline::with_workers(cfg, 3).unwrap();
-    let got = pipe.process_batch(bursts);
+    let got = pipe.process_batch_ref(&bursts);
     for (r, want) in got.iter().zip(&payloads) {
         assert_eq!(&r.as_ref().unwrap().payload, want);
     }
@@ -124,10 +124,10 @@ fn pipeline_reuses_state_across_batches() {
     let (_, big) = make_batch(&cfg, 3);
     let (_, small) = make_batch(&cfg, 2);
     let mut warm = BurstPipeline::with_workers(cfg.clone(), 2).unwrap();
-    warm.process_batch(big);
-    let from_warm = warm.process_batch(small.clone());
+    warm.process_batch_ref(&big);
+    let from_warm = warm.process_batch_ref(&small);
     let mut fresh = BurstPipeline::with_workers(cfg.clone(), 2).unwrap();
-    let from_fresh = fresh.process_batch(small.clone());
+    let from_fresh = fresh.process_batch_ref(&small);
     let want = serial_reference(&cfg, &small);
     assert_results_identical(&from_warm, &want);
     assert_results_identical(&from_fresh, &want);
@@ -136,14 +136,14 @@ fn pipeline_reuses_state_across_batches() {
 #[test]
 fn pipeline_isolates_per_burst_failures() {
     let cfg = PhyConfig::paper_synthesis();
-    // Both the threaded pool and the degraded serial schedule must
-    // contain a bad burst to its own result slot.
+    // Both the threaded crew and the in-caller schedule must contain
+    // a bad burst to its own result slot.
     for workers in [1usize, 4] {
         let (payloads, mut bursts) = make_batch(&cfg, 3);
         // Burst 1 becomes undetectable junk; its neighbours must survive.
         bursts[1] = vec![vec![CQ15::from_f64(0.01, -0.01); 4000]; 4];
         let mut pipe = BurstPipeline::with_workers(cfg.clone(), workers).unwrap();
-        let got = pipe.process_batch(bursts);
+        let got = pipe.process_batch_ref(&bursts);
         assert_eq!(got[0].as_ref().unwrap().payload, payloads[0]);
         assert!(got[1].is_err(), "junk burst must fail, not hang or panic");
         assert_eq!(got[2].as_ref().unwrap().payload, payloads[2]);
@@ -153,13 +153,17 @@ fn pipeline_isolates_per_burst_failures() {
 #[test]
 fn borrowed_views_match_owned_batches() {
     // `process_batch_ref` decodes slices borrowed from the owned
-    // bursts (no samples copied) and must be bit-identical to both
-    // `process_batch` and the serial reference, in every schedule.
+    // bursts (no samples copied) and must be bit-identical to both the
+    // owned batch and the serial reference, in every schedule —
+    // including a crew far larger than the batch (64 workers, 4
+    // bursts), which must never spawn more members than bursts.
     let cfg = PhyConfig::paper_synthesis();
     let (_, bursts) = make_batch(&cfg, 4);
     let want = serial_reference(&cfg, &bursts);
-    for workers in [0usize, 1, 3] {
+    for workers in [0usize, 1, 3, 64] {
         let mut pipe = BurstPipeline::with_workers(cfg.clone(), workers).unwrap();
+        let owned = pipe.process_batch_ref(&bursts);
+        assert_results_identical(&owned, &want);
         let views: Vec<Vec<&[CQ15]>> = bursts
             .iter()
             .map(|b| b.iter().map(Vec::as_slice).collect())

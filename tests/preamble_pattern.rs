@@ -4,7 +4,7 @@
 //! transmitted from all four channels one after another."
 
 use mimo_baseband::ofdm::preamble::{FieldKind, PreambleSchedule};
-use mimo_baseband::phy::{MimoTransmitter, PhyConfig, SisoTransmitter};
+use mimo_baseband::phy::{MimoTransmitter, PhyConfig};
 
 #[test]
 fn schedule_is_sts_then_staggered_lts() {
@@ -63,7 +63,7 @@ fn lts_slots_carry_identical_fields() {
 
 #[test]
 fn siso_preamble_is_sts_plus_single_lts() {
-    let tx = SisoTransmitter::new(PhyConfig::siso()).unwrap();
+    let tx = MimoTransmitter::new(PhyConfig::siso()).unwrap();
     let burst = tx.transmit_burst(&[9; 10]).unwrap();
     assert_eq!(burst.streams.len(), 1);
     let sched = PreambleSchedule::new(1, 64);

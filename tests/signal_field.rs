@@ -5,7 +5,7 @@
 //! header; corrupted headers must surface as typed errors (never a
 //! panic, never garbage payload); and the serial, parallel and
 //! `BurstPipeline` schedules must be bit-identical across the whole
-//! rate grid, including mixed-rate batches on one pool.
+//! rate grid, including mixed-rate batches through one pipeline.
 
 use mimo_baseband::channel::{AwgnChannel, ChannelModel, IdealChannel};
 use mimo_baseband::fixed::CQ15;
@@ -72,7 +72,7 @@ fn auto_rate_roundtrip_every_mcs_through_awgn() {
         let parallel = rx_parallel.receive_burst(&received).unwrap();
         assert_identical(&parallel, &serial, &format!("{mcs}: parallel"));
 
-        let piped = pipe.process_batch(vec![received]);
+        let piped = pipe.process_batch_ref(&[received]);
         assert_identical(piped[0].as_ref().unwrap(), &serial, &format!("{mcs}: pipeline"));
     }
 }
@@ -107,7 +107,7 @@ fn assert_identical(got: &RxResult, want: &RxResult, what: &str) {
 
 #[test]
 fn mixed_rate_batch_matches_serial_per_burst_decode() {
-    // One pool, every burst at a different MCS: the pipeline must be
+    // One batch, every burst at a different MCS: the pipeline must be
     // bit-identical to decoding each burst serially.
     let geom = LinkGeometry::mimo();
     let tx = MimoTransmitter::from_geometry(geom.clone()).unwrap();
@@ -131,7 +131,7 @@ fn mixed_rate_batch_matches_serial_per_burst_decode() {
     for workers in [0usize, 1, 2, 4] {
         let mut pipe =
             BurstPipeline::with_workers(PhyConfig::from_geometry(geom.clone()), workers).unwrap();
-        let results = pipe.process_batch(batch.clone());
+        let results = pipe.process_batch_ref(&batch);
         for (i, (got, want)) in results.iter().zip(&serial).enumerate() {
             let got = got.as_ref().unwrap();
             assert_eq!(got.payload, expected[i], "burst {i} ({workers} workers)");
