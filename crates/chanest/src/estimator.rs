@@ -11,6 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
+use mimo_cordic::LANES;
 use mimo_fft::FixedFft;
 use mimo_fixed::{CFx, CQ15, Q16};
 use mimo_ofdm::preamble::lts_reference;
@@ -93,20 +94,26 @@ impl ChannelEstimate {
     /// QRD → R⁻¹ → R⁻¹·Qᴴ, returning the per-subcarrier `H⁻¹`
     /// ("channel estimate inverted matrices" memories of Fig 5).
     ///
+    /// The QRD runs on carrier lanes, [`LANES`] subcarriers at a time
+    /// (see the crate docs), and gives the same words as
+    /// [`CordicQrd::decompose`] per carrier; R⁻¹ and R⁻¹·Qᴴ then run
+    /// per carrier.
+    ///
     /// # Errors
     ///
     /// Returns [`ChanestError::SingularChannel`] if any subcarrier's
     /// matrix cannot be inverted.
     pub fn invert_all(&self, qrd: &CordicQrd) -> Result<Vec<FxMat4>, ChanestError> {
-        self.h
-            .iter()
-            .map(|h| {
-                let decomp = qrd.decompose(h);
-                let r_inv = invert_upper_triangular(&decomp.r)?;
-                Ok(r_inv.mul_mat(&decomp.q_h))
-            })
-            // phylint: allow(hot_transitive) -- matrix inversion runs once per burst preamble, never in the per-sample steady state
-            .collect()
+        // phylint: allow(hot_transitive) -- matrix inversion runs once per burst preamble, never in the per-sample steady state
+        let mut inverses = Vec::with_capacity(self.h.len());
+        for batch in self.h.chunks(LANES) {
+            let decomps = qrd.decompose_lanes(batch);
+            for d in &decomps[..batch.len()] {
+                let r_inv = invert_upper_triangular(&d.r)?;
+                inverses.push(r_inv.mul_mat(&d.q_h));
+            }
+        }
+        Ok(inverses)
     }
 }
 
@@ -265,6 +272,7 @@ impl ChannelEstimator {
 mod tests {
     use super::*;
     use crate::matrix::Mat4;
+    use mimo_cordic::Cordic;
     use mimo_fixed::Cf64;
     use mimo_ofdm::preamble::lts_time;
 
@@ -383,6 +391,76 @@ mod tests {
             ce.invert_all(&CordicQrd::new()),
             Err(ChanestError::SingularChannel { .. })
         ));
+    }
+
+    /// The per-carrier scalar pipeline `invert_all` must reproduce:
+    /// `decompose` → R⁻¹ → R⁻¹·Qᴴ, stopping at the first singular
+    /// carrier.
+    fn invert_each(h: &[FxMat4], qrd: &CordicQrd) -> Result<Vec<FxMat4>, ChanestError> {
+        h.iter()
+            .map(|h| {
+                let d = qrd.decompose(h);
+                let r_inv = invert_upper_triangular(&d.r)?;
+                Ok(r_inv.mul_mat(&d.q_h))
+            })
+            .collect()
+    }
+
+    /// A channel matrix from 32 raw words in `±bound`.
+    fn raw_matrix(words: &[i64], bound: i64) -> FxMat4 {
+        FxMat4::from_fn(|r, c| {
+            let k = 2 * (4 * r + c);
+            CFx::new(
+                Q16::from_raw(words[k] % bound),
+                Q16::from_raw(words[k + 1] % bound),
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Carrier-lane inversion equals the per-carrier scalar
+        /// pipeline: same matrices, or the same `SingularChannel` of
+        /// the first failing carrier. Covers empty, partial, exact and
+        /// multi-batch carrier counts, zero and rank-deficient carriers
+        /// at any index, a carrier wider than the lane guard, and
+        /// CORDICs of several depths.
+        #[test]
+        fn lane_inversion_matches_the_per_carrier_pipeline(
+            count in 0usize..7,
+            words in proptest::collection::vec(proptest::prelude::any::<i64>(), 64 * 32),
+            singular in proptest::collection::vec((0u8..2, 0usize..64), 0..3),
+            wide in (proptest::prelude::any::<bool>(), 0usize..64),
+            iterations in 0usize..5,
+        ) {
+            let n = [0, 1, 15, 16, 17, 52, 64][count];
+            // Entries up to ±0.6, the range the receiver's estimates use.
+            let mut h: Vec<FxMat4> = words
+                .chunks(32)
+                .take(n)
+                .map(|w| raw_matrix(w, 39_322))
+                .collect();
+            if n > 0 {
+                for &(kind, at) in &singular {
+                    let m = &mut h[at % n];
+                    if kind == 0 {
+                        *m = FxMat4::zero();
+                    } else {
+                        // Rank 2: rows 2 and 3 repeat rows 0 and 1.
+                        let (r0, r1) = (*m.row(0), *m.row(1));
+                        *m = FxMat4::from_fn(|r, c| if r % 2 == 0 { r0[c] } else { r1[c] });
+                    }
+                }
+                if wide.0 {
+                    // Words up to ±3.0, past the 2^17 lane guard.
+                    h[wide.1 % n] = raw_matrix(&words[..32], 3 << 16);
+                }
+            }
+            let qrd = CordicQrd::with_cordic(Cordic::with_iterations([18, 1, 8, 31, 40][iterations]));
+            let estimate = ChannelEstimate { occupied: (0..n as i32).collect(), h };
+            proptest::prop_assert_eq!(estimate.invert_all(&qrd), invert_each(&estimate.h, &qrd));
+        }
     }
 
     #[test]

@@ -21,7 +21,19 @@
 //! * [`invert_upper_triangular`] — the R⁻¹ back-substitution block,
 //!   implementing the paper's ten equations verbatim.
 //! * [`ChannelEstimator`] — LTS averaging (`+ ÷2`), per-subcarrier H
-//!   assembly, and the full H⁻¹ = R⁻¹·Qᵀ pipeline over all carriers.
+//!   assembly, and the full H⁻¹ = R⁻¹·Qᵀ pipeline over all carriers
+//!   ([`ChannelEstimate::invert_all`]).
+//!
+//! The hardware array reaches its inversion throughput by streaming
+//! subcarriers through its pipelined CORDICs in 20-carrier bursts (the
+//! [`QrdScheduler`]). The software form of those bursts is the
+//! **carrier lane**: `invert_all` runs the QRD on
+//! [`mimo_cordic::LANES`] subcarriers at once, one per `i32` lane, and
+//! plans each boundary cell's angles once per row for all the row's
+//! internal cells. Lanes are independent carriers and every cell keeps
+//! the scalar array's operation order, so the result equals
+//! [`CordicQrd::decompose`] on each carrier bit for bit. The module
+//! docs of `systolic.rs` give the full argument.
 
 mod cycle_array;
 mod estimator;

@@ -11,8 +11,41 @@
 //! Feeding the identity matrix through the appended 4×4 array of
 //! internal cells (Fig 7) accumulates Qᴴ, so that after all four rows
 //! of H have entered, the cells hold `U·[H | I] = [R | Qᴴ]`.
+//!
+//! # Carrier lanes
+//!
+//! The hardware gets its throughput by streaming subcarriers through
+//! the pipelined array back to back: the [`QrdScheduler`] feeds 20
+//! subcarriers, one CORDIC latency, into each cell before the next
+//! memory's burst follows, so every CORDIC holds a different carrier in
+//! each pipeline stage. [`CordicQrd::decompose`] is the one-matrix
+//! model of that array. The receiver's batch path,
+//! [`ChannelEstimate::invert_all`](crate::ChannelEstimate::invert_all),
+//! runs the software form of those bursts instead: it walks the
+//! carriers [`LANES`] at a time and keeps every cell as a
+//! structure of arrays, lane `l` holding carrier `l`. For each input
+//! row and boundary cell, two vectoring-lane passes give every
+//! carrier's φ and θ, one [`LanePlan`](mimo_cordic::LanePlan) each for
+//! −φ and −θ records the angle path once, and the plans are replayed
+//! across the row's internal cells (the de-phase and both Givens
+//! rotations).
+//!
+//! The result is bit-identical to `decompose` on each carrier:
+//!
+//! * each cell performs the same CORDIC operations on the same words in
+//!   the same order as the scalar array;
+//! * lanes are independent carriers that never exchange data;
+//! * every lane kernel equals the scalar engine bit for bit, falling
+//!   back to it per call when a word is too wide for its `i32` lanes.
+//!
+//! The one operation the lanes leave out provably changes nothing.
+//! While input row `i` passes, the Q columns right of its identity 1
+//! (`4 + i + 1..8`) are still zero in both the incoming row and the
+//! stored cells. A CORDIC rotation of `(0, 0)` returns `(0, 0)` exactly,
+//! so the scalar array's rotations there are skipped: 72 of the 264
+//! rotations per carrier.
 
-use mimo_cordic::Cordic;
+use mimo_cordic::{Cordic, LANES};
 use mimo_fixed::{CFx, CQ16, Q16};
 
 use crate::matrix::FxMat4;
@@ -138,6 +171,57 @@ impl CordicQrd {
         let r = FxMat4::from_fn(|k, j| if j >= k { cells[k][j] } else { CFx::ZERO });
         let q_h = FxMat4::from_fn(|k, j| cells[k][N_ANTENNAS + j]);
         QrDecomposition { r, q_h }
+    }
+
+    /// [`CordicQrd::decompose`] of up to [`LANES`] carriers at once,
+    /// on carrier lanes (see the module docs): entry `l` equals
+    /// `decompose(&h[l])` bit for bit. Entries past `h.len()` hold the
+    /// decomposition of the zero matrix.
+    pub(crate) fn decompose_lanes(&self, h: &[FxMat4]) -> [QrDecomposition; LANES] {
+        const W: usize = 2 * N_ANTENNAS;
+        let zero = [Q16::ZERO; LANES];
+        // re[k][j][l]: array row k, column j (0..4 = R, 4..8 = Q part),
+        // carrier lane l.
+        let mut re = [[zero; W]; N_ANTENNAS];
+        let mut im = [[zero; W]; N_ANTENNAS];
+        // phylint: hot
+        for i in 0..N_ANTENNAS {
+            // Input row i of [H | I], one carrier per lane.
+            let (mut x_re, mut x_im) = ([zero; W], [zero; W]);
+            for (l, hl) in h.iter().take(LANES).enumerate() {
+                for c in 0..N_ANTENNAS {
+                    (x_re[c][l], x_im[c][l]) = (hl[(i, c)].re, hl[(i, c)].im);
+                }
+            }
+            x_re[N_ANTENNAS + i] = [Q16::ONE; LANES];
+
+            for k in 0..N_ANTENNAS {
+                // Boundary cell (k, k): two vectoring CORDICs per lane.
+                let (magnitude, phi) = self.cordic.vector_lanes(&x_re[k], &x_im[k]);
+                let (r_kk, theta) = self.cordic.vector_lanes(&re[k][k], &magnitude);
+                re[k][k] = r_kk;
+                let dephase = self.cordic.plan_lanes(&phi.map(|a| -a));
+                let givens = self.cordic.plan_lanes(&theta.map(|a| -a));
+
+                // Internal cells (k, j): the same three rotations as
+                // `decompose`, each angle path planned once above. Q
+                // columns right of row i's identity 1 still hold zero
+                // on both inputs, and rotating zeros gives zeros, so
+                // the walk stops at that 1.
+                for j in (k + 1)..=(N_ANTENNAS + i) {
+                    dephase.rotate_lanes(&mut x_re[j], &mut x_im[j]);
+                    givens.rotate_lanes(&mut re[k][j], &mut x_re[j]);
+                    givens.rotate_lanes(&mut im[k][j], &mut x_im[j]);
+                }
+            }
+        }
+        // phylint: end-hot
+
+        let cell = |k: usize, j: usize, l: usize| CFx::new(re[k][j][l], im[k][j][l]);
+        std::array::from_fn(|l| QrDecomposition {
+            r: FxMat4::from_fn(|k, j| if j >= k { cell(k, j, l) } else { CFx::ZERO }),
+            q_h: FxMat4::from_fn(|k, j| cell(k, N_ANTENNAS + j, l)),
+        })
     }
 
     /// Event-driven latency measurement of the pipelined array, in

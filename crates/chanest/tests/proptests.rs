@@ -1,7 +1,10 @@
 //! Property-based tests for the QRD pipeline invariants.
 
-use mimo_chanest::{invert_upper_triangular, qr_givens_f64, CordicQrd, Mat4};
-use mimo_fixed::Cf64;
+use mimo_chanest::{
+    invert_upper_triangular, qr_givens_f64, ChanestError, ChannelEstimator, CordicQrd, FxMat4, Mat4,
+};
+use mimo_cordic::Cordic;
+use mimo_fixed::{Cf64, CQ15, Q15};
 use proptest::prelude::*;
 
 fn arb_matrix() -> impl Strategy<Value = Mat4> {
@@ -82,5 +85,60 @@ proptest! {
         let d2 = qrd.decompose(&half.to_fixed());
         let scaled_r = Mat4::from_fn(|r, c| d1.r.to_f64()[(r, c)].scale(0.5));
         prop_assert!(d2.r.to_f64().max_distance(&scaled_r) < 0.01);
+    }
+}
+
+/// Random LTS blocks for [`ChannelEstimator::estimate`]: `2·fft_size`
+/// samples per (RX antenna, TX slot) from an xorshift stream, each
+/// word a 16-bit sample shifted right by `shift`.
+fn random_lts_blocks(seed: u64, fft_size: usize, shift: u32) -> Vec<Vec<Vec<CQ15>>> {
+    let mut state = seed | 1;
+    let mut word = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        Q15::from_raw(i64::from((state >> 48) as i16 >> shift))
+    };
+    (0..4)
+        .map(|_| {
+            (0..4)
+                .map(|_| {
+                    (0..2 * fft_size)
+                        .map(|_| CQ15::new(word(), word()))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `invert_all` on estimates built from random LTS blocks equals
+    /// the per-carrier pipeline (decompose → R⁻¹ → R⁻¹·Qᴴ), results
+    /// and errors alike, at every FFT size the estimator supports.
+    #[test]
+    fn invert_all_matches_the_per_carrier_pipeline(
+        seed in any::<u64>(),
+        shift in 0u32..6,
+        size in 0usize..4,
+        iterations in 0usize..3,
+    ) {
+        let fft_size = [64, 128, 256, 512][size];
+        let estimate = ChannelEstimator::new(fft_size)
+            .expect("supported FFT size")
+            .estimate(&random_lts_blocks(seed, fft_size, shift))
+            .expect("well-formed LTS blocks");
+        let qrd = CordicQrd::with_cordic(Cordic::with_iterations([18, 12, 40][iterations]));
+        let each: Result<Vec<FxMat4>, ChanestError> = estimate
+            .h_matrices()
+            .iter()
+            .map(|h| {
+                let d = qrd.decompose(h);
+                Ok(invert_upper_triangular(&d.r)?.mul_mat(&d.q_h))
+            })
+            .collect();
+        prop_assert_eq!(estimate.invert_all(&qrd), each);
     }
 }

@@ -25,21 +25,44 @@
 //!
 //! # Narrow lanes and the range guard
 //!
-//! [`RotationPlan::rotate_lanes`] and [`Cordic::rotate_lanes`] rotate
-//! [`LANES`] vectors at once on `i32` lanes, laid out so the compiler
-//! can vectorize the micro-rotation across lanes. The guard is one
-//! check per batch: every input word must satisfy `|raw| < 2^17`,
-//! which covers any 16-bit bus sample widened to Q2.16. Each
-//! micro-rotation grows `max(|x|, |y|)` by at most `1 + 2^-i`, and
-//! `Π (1 + 2^-i) < 4.8`, so the lanes stay below `2^20`. The residual
-//! angle stays below `2^18`, and the gain product below `2^36`. So no
-//! lane can overflow, and `i32` arithmetic gives the same words as the
-//! `i64` engine. A batch with any larger word goes through a `#[cold]`
-//! per-vector fallback to [`Cordic::rotate`].
+//! [`RotationPlan::rotate_lanes`], [`LanePlan::rotate_lanes`] and
+//! [`Cordic::rotate_lanes`] rotate [`LANES`] vectors at once on `i32`
+//! lanes, laid out so the compiler can vectorize the micro-rotation
+//! across lanes. The guard is one check per batch: every input word
+//! must satisfy `|raw| < 2^17`, which covers any 16-bit bus sample
+//! widened to Q2.16. Each micro-rotation grows `max(|x|, |y|)` by at
+//! most `1 + 2^-i`, and `Π (1 + 2^-i) < 4.8`, so the lanes stay below
+//! `2^20`. The residual angle stays below `2^18`, and the gain product
+//! below `2^36`. So no lane can overflow, and `i32` arithmetic gives
+//! the same words as the `i64` engine. Shifts past 31 equal a shift by
+//! 31 on such words, so the lanes serve every iteration count up to
+//! 40. A batch with any larger word goes through a `#[cold]` per-vector
+//! fallback to the scalar engine, so every lane call is exact on its
+//! own.
+//!
+//! # Per-lane plans and vectoring lanes
+//!
+//! [`Cordic::plan_lanes`] is [`Cordic::plan`] with one angle per lane:
+//! it wraps and quadrant-splits each lane's angle once and records one
+//! sign mask per lane and iteration in a [`LanePlan`]. Replaying it
+//! with [`LanePlan::rotate_lanes`] costs only the `x`/`y` adds, so a
+//! caller that turns many vectors of one lane by the same angle (the
+//! QRD array's internal cells turning a whole row by a boundary cell's
+//! angles) pays for the angle path once.
+//!
+//! [`Cordic::vector_lanes`] runs vectoring mode per lane. The ±π
+//! pre-rotation only negates, so inputs below `2^17` stay below it;
+//! the micro-rotations then grow the vector by the CORDIC gain
+//! `K < 1.65` (times `√2` for one component taking the whole length,
+//! plus a few LSBs of shift rounding), which keeps `x` and `y` below
+//! `2^20`. The angle accumulator starts at `0` or `±π` and moves by at
+//! most `Σ atan(2^-i) < 1.75`, so it stays below `π + 1.75 < 2^19` in
+//! Q2.16. Both fit `i32`, and the lanes equal [`Cordic::vector`] bit
+//! for bit.
 
 #[cfg(test)]
 use mimo_fixed::Fx;
-use mimo_fixed::{round_shr, Q16};
+use mimo_fixed::Q16;
 
 use crate::CORDIC_ITERATIONS;
 
@@ -47,9 +70,11 @@ use crate::CORDIC_ITERATIONS;
 /// ([`Cordic::with_iterations`]).
 const MAX_ITERATIONS: u32 = 40;
 
-/// Vectors rotated together by [`RotationPlan::rotate_lanes`] and
-/// [`Cordic::rotate_lanes`]: enough independent `i32` lanes to fill
-/// four 128-bit vectors per coordinate.
+/// Vectors handled together by the lane kernels
+/// ([`RotationPlan::rotate_lanes`], [`LanePlan::rotate_lanes`],
+/// [`Cordic::rotate_lanes`], [`Cordic::vector_lanes`]): enough
+/// independent `i32` lanes to fill four 128-bit vectors per
+/// coordinate.
 pub const LANES: usize = 16;
 
 /// π in Q2.16 (`Q16::from_f64(π)`).
@@ -290,9 +315,11 @@ impl Cordic {
     /// Rotates [`LANES`] vectors, each by its own angle, in place:
     /// lane `k` becomes `rotate(x[k], y[k], angle[k])`, bit for bit.
     ///
-    /// The lanes run on `i32` when every `x`/`y` word is below `2^17`
-    /// in magnitude (see the module docs), and through
-    /// [`Cordic::rotate`] otherwise.
+    /// Unlike [`Cordic::plan_lanes`], the angle path runs fused with
+    /// the `x`/`y` adds, which is cheaper when each set of angles
+    /// turns one batch only. The lanes run on `i32` when every `x`/`y`
+    /// word is below `2^17` in magnitude (see the module docs), and
+    /// through [`Cordic::rotate`] otherwise.
     pub fn rotate_lanes(&self, x: &mut [Q16; LANES], y: &mut [Q16; LANES], angle: &[Q16; LANES]) {
         if !lanes_are_narrow(x, y) {
             return self.rotate_lanes_wide(x, y, angle);
@@ -309,6 +336,71 @@ impl Cordic {
             let r = self.rotate(*xk, *yk, a);
             (*xk, *yk) = (r.x, r.y);
         }
+    }
+
+    /// Runs the angle path of [`Cordic::rotate`] for [`LANES`] angles
+    /// at once, one per lane. The plan rotates any number of lane
+    /// batches: lane `k` of each by `angle[k]` (see the module docs).
+    ///
+    /// ```
+    /// use mimo_cordic::{Cordic, LANES};
+    /// use mimo_fixed::Q16;
+    ///
+    /// let cordic = Cordic::new();
+    /// let angle: [Q16; LANES] = std::array::from_fn(|k| Q16::from_f64(0.4 * k as f64 - 3.0));
+    /// let (x0, y0) = ([Q16::from_f64(0.3); LANES], [Q16::from_f64(-0.6); LANES]);
+    /// let (mut x, mut y) = (x0, y0);
+    /// cordic.plan_lanes(&angle).rotate_lanes(&mut x, &mut y);
+    /// let r = cordic.rotate(x0[5], y0[5], angle[5]);
+    /// assert_eq!((x[5], y[5]), (r.x, r.y));
+    /// ```
+    pub fn plan_lanes(&self, angle: &[Q16; LANES]) -> LanePlan {
+        let mut plan = LanePlan {
+            quadrant: [0; LANES],
+            clockwise: [[0; LANES]; MAX_ITERATIONS as usize],
+            iterations: self.iterations,
+            inv_gain: self.inv_gain,
+        };
+        let mut zs = [0i32; LANES];
+        for k in 0..LANES {
+            let (q, z) = split_quadrant(wrap_angle(angle[k].raw()));
+            // |z| <= π/2 < 2^17: exact in i32.
+            (plan.quadrant[k], zs[k]) = (i32::from(q), z as i32);
+        }
+        lane_directions(self.atans(), zs, &mut plan.clockwise);
+        plan
+    }
+
+    /// Vectoring mode on [`LANES`] vectors at once: returns the
+    /// magnitudes and the angles, lane `k` equal to
+    /// `vector(x[k], y[k])` bit for bit.
+    ///
+    /// The lanes run on `i32` when every `x`/`y` word is below `2^17`
+    /// in magnitude (see the module docs), and through
+    /// [`Cordic::vector`] otherwise.
+    pub fn vector_lanes(&self, x: &[Q16; LANES], y: &[Q16; LANES]) -> ([Q16; LANES], [Q16; LANES]) {
+        if !lanes_are_narrow(x, y) {
+            return self.vector_lanes_wide(x, y);
+        }
+        vectored_lanes(self, x, y)
+    }
+
+    /// [`Cordic::vector_lanes`] for batches with a word outside the
+    /// narrow range: one [`Cordic::vector`] per lane.
+    #[cold]
+    #[inline(never)]
+    fn vector_lanes_wide(
+        &self,
+        x: &[Q16; LANES],
+        y: &[Q16; LANES],
+    ) -> ([Q16; LANES], [Q16; LANES]) {
+        let mut magnitude = [Q16::ZERO; LANES];
+        let mut angle = [Q16::ZERO; LANES];
+        for k in 0..LANES {
+            let v = self.vector(x[k], y[k]);
+            (magnitude[k], angle[k]) = (v.magnitude, v.angle);
+        }
+        (magnitude, angle)
     }
 
     /// Magnitude of a complex value — the time synchroniser's use of the
@@ -369,6 +461,60 @@ impl RotationPlan {
         for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
             let r = self.rotate(*xk, *yk);
             (*xk, *yk) = (r.x, r.y);
+        }
+    }
+}
+
+/// The angle-only half of [`LANES`] rotations with one angle per
+/// lane, computed once by [`Cordic::plan_lanes`] and applied to many
+/// lane batches.
+#[derive(Debug, Clone)]
+pub struct LanePlan {
+    /// Per lane: `1` pre-rotates by +π/2, `-1` by -π/2, `0` not at all.
+    quadrant: [i32; LANES],
+    /// `clockwise[i][k]` is `-1` when micro-rotation `i` of lane `k`
+    /// turns clockwise, else `0`; rows past `iterations` are unused.
+    clockwise: [[i32; LANES]; MAX_ITERATIONS as usize],
+    iterations: u32,
+    inv_gain: Q16,
+}
+
+impl LanePlan {
+    /// Rotates [`LANES`] vectors in place: lane `k` becomes
+    /// `rotate(x[k], y[k], angle[k])` for the planned angles, bit for
+    /// bit.
+    ///
+    /// The lanes run on `i32` when every word is below `2^17` in
+    /// magnitude (see the module docs), and through
+    /// [`RotationPlan::rotate`], which equals [`Cordic::rotate`],
+    /// otherwise.
+    pub fn rotate_lanes(&self, x: &mut [Q16; LANES], y: &mut [Q16; LANES]) {
+        if !lanes_are_narrow(x, y) {
+            return self.rotate_lanes_wide(x, y);
+        }
+        lane_planned_lanes(self, x, y);
+    }
+
+    /// [`LanePlan::rotate_lanes`] for batches with a word outside the
+    /// narrow range: lane `k` is rotated by the scalar plan of its own
+    /// angle.
+    #[cold]
+    #[inline(never)]
+    fn rotate_lanes_wide(&self, x: &mut [Q16; LANES], y: &mut [Q16; LANES]) {
+        let rows = &self.clockwise[..self.iterations as usize];
+        for k in 0..LANES {
+            let clockwise = rows
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, row)| acc | (row[k] as u64 & 1) << i);
+            let plan = RotationPlan {
+                quadrant: self.quadrant[k] as i8,
+                clockwise,
+                iterations: self.iterations,
+                inv_gain: self.inv_gain,
+            };
+            let r = plan.rotate(x[k], y[k]);
+            (x[k], y[k]) = (r.x, r.y);
         }
     }
 }
@@ -492,20 +638,140 @@ fn angled_rotations(
         }
     }
 }
-// phylint: end-hot
 
-/// True when every word of a lane batch is below [`LANE_LIMIT`].
-#[inline(always)]
-fn lanes_are_narrow(x: &[Q16; LANES], y: &[Q16; LANES]) -> bool {
-    let mag = x
-        .iter()
-        .chain(y)
-        .fold(0u64, |acc, v| acc | v.raw().unsigned_abs());
-    mag < LANE_LIMIT
+/// [`LanePlan::rotate_lanes`] on narrow lanes.
+#[inline]
+fn lane_planned_lanes(plan: &LanePlan, x: &mut [Q16; LANES], y: &mut [Q16; LANES]) {
+    let mut xs = [0i32; LANES];
+    let mut ys = [0i32; LANES];
+    for k in 0..LANES {
+        // pre_rotate as masks: q = 1 gives (-y, x), q = -1 gives (y, -x).
+        let (q, xr, yr) = (plan.quadrant[k], x[k].raw() as i32, y[k].raw() as i32);
+        let (neg_x, neg_y) = ((-q) >> 31, q >> 31);
+        // With q ≠ 0 the coordinates trade places.
+        let swap = (xr ^ yr) & (neg_x | neg_y);
+        let (u, v) = (xr ^ swap, yr ^ swap);
+        (xs[k], ys[k]) = ((u ^ neg_x) - neg_x, (v ^ neg_y) - neg_y);
+    }
+    let rows = &plan.clockwise[..(plan.iterations as usize).min(plan.clockwise.len())];
+    lane_rotations(rows, &mut xs, &mut ys);
+    compensate_lanes(plan.inv_gain, &xs, &ys, x, y);
 }
 
-/// The gain-compensation multiply of each lane, written back as Q16.
-/// `|lane| < 2^20` and `inv_gain < 2^16` keep the product in `i64`.
+/// The micro-rotations of a lane plan: `clockwise[i][k]` is the sign
+/// mask of lane `k` at step `i`.
+#[inline(never)]
+fn lane_rotations(clockwise: &[[i32; LANES]], xs: &mut [i32; LANES], ys: &mut [i32; LANES]) {
+    for (i, m) in clockwise.iter().enumerate() {
+        let shift = (i as u32).min(31);
+        for k in 0..LANES {
+            let (dx, dy) = (xs[k] >> shift, ys[k] >> shift);
+            xs[k] -= (dy ^ m[k]) - m[k];
+            ys[k] += (dx ^ m[k]) - m[k];
+        }
+    }
+}
+
+/// The angle path of a lane plan: drives each lane's residual angle
+/// to zero, recording its sign mask per step in `clockwise`.
+#[inline(never)]
+fn lane_directions(
+    atans: &[i64],
+    mut zs: [i32; LANES],
+    clockwise: &mut [[i32; LANES]; MAX_ITERATIONS as usize],
+) {
+    for (&a, row) in atans.iter().zip(clockwise.iter_mut()) {
+        let a = a as i32;
+        for k in 0..LANES {
+            let m = zs[k] >> 31;
+            row[k] = m;
+            zs[k] -= (a ^ m) - m;
+        }
+    }
+}
+
+/// [`Cordic::vector_lanes`] on narrow lanes.
+#[inline]
+fn vectored_lanes(
+    cordic: &Cordic,
+    x: &[Q16; LANES],
+    y: &[Q16; LANES],
+) -> ([Q16; LANES], [Q16; LANES]) {
+    let mut xs = [0i32; LANES];
+    let mut ys = [0i32; LANES];
+    let mut zs = [0i32; LANES];
+    for k in 0..LANES {
+        let (xr, yr) = (x[k].raw() as i32, y[k].raw() as i32);
+        // Quadrant pre-rotation by ∓π when x < 0, accumulating ±π.
+        let neg = xr >> 31;
+        let pi = if yr >= 0 { PI as i32 } else { -(PI as i32) };
+        (xs[k], ys[k], zs[k]) = ((xr ^ neg) - neg, (yr ^ neg) - neg, pi & neg);
+    }
+    vector_lane_rotations(cordic.atans(), &mut xs, &mut ys, &mut zs);
+    let g = cordic.inv_gain.raw() as u32;
+    (
+        xs.map(|v| compensate(g, v)),
+        zs.map(|z| Q16::from_raw(i64::from(z))),
+    )
+}
+
+/// The micro-rotations of vectoring lanes: each lane drives its own
+/// `y` to zero.
+#[inline(never)]
+fn vector_lane_rotations(
+    atans: &[i64],
+    xs: &mut [i32; LANES],
+    ys: &mut [i32; LANES],
+    zs: &mut [i32; LANES],
+) {
+    for (i, &a) in atans.iter().enumerate() {
+        let shift = (i as u32).min(31);
+        let a = a as i32;
+        for k in 0..LANES {
+            let m = ys[k] >> 31;
+            let (dx, dy) = (xs[k] >> shift, ys[k] >> shift);
+            xs[k] += (dy ^ m) - m;
+            ys[k] -= (dx ^ m) - m;
+            zs[k] += (a ^ m) - m;
+        }
+    }
+}
+// phylint: end-hot
+
+/// True when every word of a lane batch is below [`LANE_LIMIT`] in
+/// magnitude. Written as range checks folded by `|`, which vectorize:
+/// `r + (L - 1)` and `(L - 1) - r` both lie in `[0, 2L)` exactly when
+/// `|r| < L`, and any other value, wrapped or negative, sets a bit at
+/// or above `2L`.
+#[inline(always)]
+fn lanes_are_narrow(x: &[Q16; LANES], y: &[Q16; LANES]) -> bool {
+    const EDGE: i64 = LANE_LIMIT as i64 - 1;
+    let bits = |v: &[Q16; LANES]| {
+        v.iter().fold(0u64, |acc, q| {
+            acc | q.raw().wrapping_add(EDGE) as u64 | EDGE.wrapping_sub(q.raw()) as u64
+        })
+    };
+    (bits(x) | bits(y)) < 2 * LANE_LIMIT
+}
+
+/// The gain-compensation multiply of one lane,
+/// `Q16::from_raw(v).mul(inv_gain)`, on `|v| < 2^20`.
+///
+/// `inv_gain` is positive and below `2^16`. With `a = |v|`, the
+/// multiply's rounding `round_shr(v·g, 16)` equals
+/// `sign(v)·((a·g + 2^15) >> 16)`: round half up on `v·g >= 0` and
+/// the `-1` bias on negative products together round half away from
+/// zero. `a·g < 2^36` fits the unsigned 32×32→64 multiply every
+/// x86-64 vector unit has, so the lanes vectorize.
+#[inline(always)]
+fn compensate(g: u32, v: i32) -> Q16 {
+    let sign = v >> 31;
+    let a = ((v ^ sign) - sign) as u32;
+    let t = ((u64::from(a) * u64::from(g) + (1 << 15)) >> 16) as i32;
+    Q16::from_raw(i64::from((t ^ sign) - sign))
+}
+
+/// [`compensate`] for every lane, written back as Q16.
 #[inline(always)]
 fn compensate_lanes(
     inv_gain: Q16,
@@ -514,10 +780,10 @@ fn compensate_lanes(
     x: &mut [Q16; LANES],
     y: &mut [Q16; LANES],
 ) {
-    let g = inv_gain.raw();
+    let g = inv_gain.raw() as u32;
     for k in 0..LANES {
-        x[k] = Q16::from_raw(round_shr(i64::from(xs[k]) * g, 16));
-        y[k] = Q16::from_raw(round_shr(i64::from(ys[k]) * g, 16));
+        x[k] = compensate(g, xs[k]);
+        y[k] = compensate(g, ys[k]);
     }
 }
 
@@ -701,17 +967,31 @@ mod tests {
         let angle: [Q16; LANES] = std::array::from_fn(|k| q(0.7 * k as f64 - 2.0));
         let (mut xs, mut ys) = (x, y);
         c.rotate_lanes(&mut xs, &mut ys, &angle);
+        let (mut xl, mut yl) = (x, y);
+        c.plan_lanes(&angle).rotate_lanes(&mut xl, &mut yl);
         let plan = c.plan(angle[2]);
         let (mut xp, mut yp) = (x, y);
         plan.rotate_lanes(&mut xp, &mut yp);
+        let (magnitude, phase) = c.vector_lanes(&x, &y);
         for k in 0..LANES {
             assert_eq!(
                 Rotated { x: xs[k], y: ys[k] },
                 c.rotate(x[k], y[k], angle[k])
             );
             assert_eq!(
+                Rotated { x: xl[k], y: yl[k] },
+                c.rotate(x[k], y[k], angle[k])
+            );
+            assert_eq!(
                 Rotated { x: xp[k], y: yp[k] },
                 c.rotate(x[k], y[k], angle[2])
+            );
+            assert_eq!(
+                Vectored {
+                    magnitude: magnitude[k],
+                    angle: phase[k]
+                },
+                c.vector(x[k], y[k])
             );
         }
     }
@@ -719,15 +999,31 @@ mod tests {
     #[test]
     fn lanes_past_iteration_31_match_the_scalar_engine() {
         let c = Cordic::with_iterations(MAX_ITERATIONS);
-        let x: [Q16; LANES] = std::array::from_fn(|k| q(0.9 - 0.25 * k as f64));
-        let y: [Q16; LANES] = std::array::from_fn(|k| q(0.2 * k as f64 - 0.8));
+        // Every word below 2^17 (|v| < 2.0), so the batch takes the
+        // i32 lanes, not the scalar fallback.
+        let x: [Q16; LANES] = std::array::from_fn(|k| q(0.9 - 0.1 * k as f64));
+        let y: [Q16; LANES] = std::array::from_fn(|k| q(0.1 * k as f64 - 0.8));
         let angle: [Q16; LANES] = std::array::from_fn(|k| q(0.8 * k as f64 - 3.1));
         let (mut xs, mut ys) = (x, y);
         c.rotate_lanes(&mut xs, &mut ys, &angle);
+        let (mut xl, mut yl) = (x, y);
+        c.plan_lanes(&angle).rotate_lanes(&mut xl, &mut yl);
+        let (magnitude, phase) = c.vector_lanes(&x, &y);
         for k in 0..LANES {
             assert_eq!(
                 Rotated { x: xs[k], y: ys[k] },
                 c.rotate(x[k], y[k], angle[k])
+            );
+            assert_eq!(
+                Rotated { x: xl[k], y: yl[k] },
+                c.rotate(x[k], y[k], angle[k])
+            );
+            assert_eq!(
+                Vectored {
+                    magnitude: magnitude[k],
+                    angle: phase[k]
+                },
+                c.vector(x[k], y[k])
             );
         }
     }

@@ -14,9 +14,12 @@
 //! and cycle-accurate pipelined wrappers ([`PipelinedVectoring`],
 //! [`PipelinedRotator`]) whose latency matches the paper's 20 cycles
 //! (18 micro-rotations + input register + gain-compensation stage).
-//! For the receiver's per-carrier corrections, the engine also rotates
-//! [`LANES`] vectors per call: by one shared angle through a
-//! [`RotationPlan`], or by one angle per lane.
+//! For the receiver's per-carrier work, the engine also handles
+//! [`LANES`] vectors per call: rotations by one shared angle through a
+//! [`RotationPlan`], by one angle per lane ([`Cordic::rotate_lanes`],
+//! or a [`LanePlan`] that replays each lane's angle path on many
+//! batches), and vectoring per lane ([`Cordic::vector_lanes`]). The
+//! QRD array runs on the last two, one subcarrier per lane.
 //!
 //! # Examples
 //!
@@ -33,7 +36,7 @@
 mod engine;
 mod pipeline;
 
-pub use engine::{Cordic, Rotated, RotationPlan, Vectored, LANES};
+pub use engine::{Cordic, LanePlan, Rotated, RotationPlan, Vectored, LANES};
 pub use pipeline::{PipelinedRotator, PipelinedVectoring};
 
 /// Pipeline latency, in clock cycles, of each CORDIC element in the

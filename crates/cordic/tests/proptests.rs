@@ -276,6 +276,181 @@ proptest! {
     }
 }
 
+/// π in Q2.16, as the engine's quadrant logic uses it.
+const PI_RAW: i64 = 205_887;
+/// The lane kernels' guard: words must stay below this magnitude.
+const GUARD: i64 = 1 << 17;
+
+/// A lane word inside the guard: often at its edges, zero or a small
+/// negative value.
+fn lane_word() -> impl Strategy<Value = i64> {
+    (0u8..16, -GUARD + 1..GUARD, -2000i64..0).prop_map(|(kind, v, small_neg)| match kind {
+        0 => 0,
+        1 => GUARD - 1,
+        2 => -(GUARD - 1),
+        3 => small_neg,
+        _ => v,
+    })
+}
+
+/// Lane batches from `words`, with half of them pushed past the
+/// guard by one word (`wide`: flag, lane, sign, `x` or `y`).
+fn lane_batch(
+    words: &[(i64, i64)],
+    wide: (bool, usize, bool, bool),
+) -> ([Q16; LANES], [Q16; LANES]) {
+    let mut x: [i64; LANES] = std::array::from_fn(|k| words[k].0);
+    let mut y: [i64; LANES] = std::array::from_fn(|k| words[k].1);
+    if let (true, lane, negative, in_x) = wide {
+        let word = if negative { -GUARD } else { GUARD };
+        if in_x {
+            x[lane] = word;
+        } else {
+            y[lane] = word;
+        }
+    }
+    (x.map(Q16::from_raw), y.map(Q16::from_raw))
+}
+
+/// A lane angle: ±π and a few LSBs either side of it (the slow wrap
+/// path), the range vectoring outputs reach (±(π + 1.75)), and any
+/// `i64`.
+fn lane_angle() -> impl Strategy<Value = i64> {
+    (0u8..8, -4i64..5, -320_000i64..320_000, any::<i64>()).prop_map(|(kind, d, v, w)| match kind {
+        0 => PI_RAW + d,
+        1 => -PI_RAW + d,
+        2 => w,
+        _ => v,
+    })
+}
+
+/// Checks `vector_lanes` and `plan_lanes(..).rotate_lanes` on one
+/// batch against the scalar engine, lane by lane.
+fn check_lanes(c: &Cordic, x: [i64; LANES], y: [i64; LANES], angle: [i64; LANES]) {
+    let x = x.map(Q16::from_raw);
+    let y = y.map(Q16::from_raw);
+    let angle = angle.map(Q16::from_raw);
+    let (magnitude, phase) = c.vector_lanes(&x, &y);
+    let (mut xs, mut ys) = (x, y);
+    c.plan_lanes(&angle).rotate_lanes(&mut xs, &mut ys);
+    for k in 0..LANES {
+        let v = Vectored {
+            magnitude: magnitude[k],
+            angle: phase[k],
+        };
+        assert_eq!(
+            v,
+            c.vector(x[k], y[k]),
+            "vector lane {k}, {} iterations",
+            c.iterations()
+        );
+        let r = Rotated { x: xs[k], y: ys[k] };
+        assert_eq!(
+            r,
+            c.rotate(x[k], y[k], angle[k]),
+            "rotate lane {k}, {} iterations",
+            c.iterations()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Vectoring lanes equal one `vector` per lane, on batches inside
+    /// the guard and batches with one word past it.
+    #[test]
+    fn vector_lanes_match_vector(
+        words in proptest::collection::vec((lane_word(), lane_word()), LANES),
+        wide in (any::<bool>(), 0usize..LANES, any::<bool>(), any::<bool>()),
+        iterations in 1u32..41,
+    ) {
+        let c = Cordic::with_iterations(iterations);
+        let (x, y) = lane_batch(&words, wide);
+        let (magnitude, angle) = c.vector_lanes(&x, &y);
+        for k in 0..LANES {
+            let v = Vectored { magnitude: magnitude[k], angle: angle[k] };
+            prop_assert_eq!(v, c.vector(x[k], y[k]), "lane {}", k);
+        }
+    }
+
+    /// Per-lane plans equal one `rotate` per lane, for angles at and
+    /// just past ±π and for vectoring-range angles, inside and past
+    /// the guard.
+    #[test]
+    fn lane_plans_match_rotate(
+        words in proptest::collection::vec((lane_word(), lane_word()), LANES),
+        angles in proptest::collection::vec(lane_angle(), LANES),
+        wide in (any::<bool>(), 0usize..LANES, any::<bool>(), any::<bool>()),
+        iterations in 1u32..41,
+    ) {
+        let c = Cordic::with_iterations(iterations);
+        let (x, y) = lane_batch(&words, wide);
+        let angle: [Q16; LANES] = std::array::from_fn(|k| Q16::from_raw(angles[k]));
+        let (mut xs, mut ys) = (x, y);
+        c.plan_lanes(&angle).rotate_lanes(&mut xs, &mut ys);
+        for k in 0..LANES {
+            prop_assert_eq!(Rotated { x: xs[k], y: ys[k] }, c.rotate(x[k], y[k], angle[k]), "lane {}", k);
+        }
+    }
+}
+
+/// Every iteration count from 1 to 40 on one batch of edge cases:
+/// zero vectors, `x < 0` with `y = 0` (which takes the `+π`
+/// pre-rotation), words at the guard's edge, and angles at, just
+/// inside and just past ±π.
+#[test]
+fn lane_kernels_match_the_scalar_engine_at_every_iteration_count() {
+    // (x, y, angle) per lane.
+    let lanes: [(i64, i64, i64); LANES] = [
+        (0, 0, PI_RAW),
+        (-1, 0, -PI_RAW),
+        (-(GUARD - 1), 0, PI_RAW + 1),
+        (-40_000, 0, -PI_RAW - 1),
+        (GUARD - 1, 0, PI_RAW + 3),
+        (0, GUARD - 1, -PI_RAW - 3),
+        (30_000, -(GUARD - 1), PI_RAW - 1),
+        (-30_000, 30_000, -PI_RAW + 1),
+        (1, -1, 0),
+        (-1, 1, 102_943),
+        (65_536, 0, -102_944),
+        (-65_536, -65_536, 320_000),
+        (12_345, -99_999, -320_000),
+        (-54_321, 77_777, 411_775),
+        (GUARD - 1, GUARD - 1, i64::MAX),
+        (-(GUARD - 1), -(GUARD - 1), i64::MIN),
+    ];
+    let x = lanes.map(|l| l.0);
+    let y = lanes.map(|l| l.1);
+    let angle = lanes.map(|l| l.2);
+    for iterations in 1..=40 {
+        check_lanes(&Cordic::with_iterations(iterations), x, y, angle);
+    }
+}
+
+/// Batches straddling the lane guard: one lane at `2^17 - 1` keeps the
+/// batch on the `i32` lanes, the same lane at `2^17` sends it through
+/// the scalar fallback. Both equal the scalar engine lane by lane.
+#[test]
+fn lane_batches_straddling_the_guard_match_the_scalar_engine() {
+    let base_x: [i64; LANES] = std::array::from_fn(|k| 7_919 * k as i64 - 60_000);
+    let base_y: [i64; LANES] = std::array::from_fn(|k| 50_000 - 6_007 * k as i64);
+    let angle: [i64; LANES] = std::array::from_fn(|k| 41_000 * k as i64 - PI_RAW);
+    for iterations in [1, 8, 18, 31, 32, 40] {
+        let c = Cordic::with_iterations(iterations);
+        for lane in [0, 7, LANES - 1] {
+            for word in [GUARD - 1, GUARD, -(GUARD - 1), -GUARD] {
+                let (mut x, mut y) = (base_x, base_y);
+                x[lane] = word;
+                check_lanes(&c, x, y, angle);
+                (x, y) = (base_x, base_y);
+                y[lane] = word;
+                check_lanes(&c, x, y, angle);
+            }
+        }
+    }
+}
+
 /// At the prescale limit of `Cordic::vector`: words just below `2^61`
 /// match the branching original bit for bit. Words at `2^61` are
 /// prescaled by 1/8; the original still fits in `i64` there, and the

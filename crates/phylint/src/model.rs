@@ -629,19 +629,22 @@ impl<'a> Extractor<'a> {
         let (has_self, arity) = self.read_params(j + 1, params_end);
 
         // Return type: tokens between `->` and the body `{` (or `;`),
-        // stopping at `where`.
+        // stopping at `where`. The `;` of an array type (`-> [T; N]`,
+        // `-> ([T; N], U)`) sits inside brackets and ends nothing.
         let mut k = params_end + 1;
         let mut result_err = None;
         if self.text(k) == "-" && self.text(k + 1) == ">" {
             let ret_start = k + 2;
             let mut depth = 0i32;
+            let mut nest = 0i32;
             let mut r = ret_start;
             while r < to {
                 match self.text(r) {
                     "<" => depth += 1,
                     ">" => depth -= 1,
-                    "{" | ";" if depth <= 0 => break,
-                    "where" if depth <= 0 => break,
+                    "(" | "[" => nest += 1,
+                    ")" | "]" => nest -= 1,
+                    "{" | ";" | "where" if depth <= 0 && nest <= 0 => break,
                     _ => {}
                 }
                 r += 1;

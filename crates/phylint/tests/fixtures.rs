@@ -187,6 +187,24 @@ fn hot_transitive_fixture_proves_the_smuggled_allocation() {
 }
 
 #[test]
+fn hot_transitive_follows_calls_through_array_returning_functions() {
+    let report = fixture("hot_transitive_array");
+    let found = full_findings(&report, RuleId::HotTransitive);
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(found.len(), 1);
+    let f = found[0];
+    assert_eq!(
+        f.line,
+        line_of("hot_transitive_array", "src/lib.rs", "Vec::with_capacity")
+    );
+    // hot region -> middle (`-> [u8; 4]`) -> lanes (`-> ([u8; 4], ..)`) -> leaf.
+    assert_eq!(f.call_path.len(), 4, "{:?}", f.call_path);
+    assert!(f.call_path[1].contains("middle"), "{:?}", f.call_path);
+    assert!(f.call_path[2].contains("lanes"), "{:?}", f.call_path);
+    assert!(f.call_path[3].contains("leaf_alloc"), "{:?}", f.call_path);
+}
+
+#[test]
 fn simd_guard_fixture_flags_decl_and_unguarded_call() {
     let report = fixture("simd_guard");
     let found = full_findings(&report, RuleId::SimdGuard);
