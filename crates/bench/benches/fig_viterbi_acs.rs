@@ -1,20 +1,20 @@
 //! **Experiment F10 — Viterbi ACS kernel throughput.**
 //!
-//! Decoded information bits per second of the Viterbi backends — the
-//! reference scalar kernel, the radix-2 butterfly kernel (branch
-//! metric table + ping-pong `i32` rows + `u64` survivor bitmasks) and
-//! the 8-lane SIMD butterfly tier — on terminated K=7 blocks at
+//! Decoded information bits per second of the three Viterbi tiers — the
+//! reference scalar kernel, the radix-2 butterfly kernel (branch metric
+//! table + ping-pong `i32` rows + `u64` survivor bitmasks) and the
+//! 16-lane `i16` SIMD tier (modulo-normalised metrics, one whole-block
+//! forward pass per call) — on terminated K=7 blocks at
 //! burst-representative sizes, with hard (±`HARD_LLR`) and noisy soft
 //! inputs.
 //!
-//! The ACS recursion is ~70 % of burst decode time in the software
-//! model, so this microbench isolates the kernel the `fig_sw_throughput`
-//! trajectory rides on. The run also reports the ACS/traceback phase
-//! split (via `decode_terminated_profiled`) and which kernel the
-//! decoder's auto dispatch actually selected on this machine. Alongside
-//! the criterion timings, the run writes a `BENCH_viterbi_acs.json`
-//! snapshot at the repo root so successive PRs can track the kernels in
-//! isolation.
+//! Viterbi is the largest RX stage of the 64-QAM workload in the repo
+//! benchmark (`perfbench`, `BENCHMARK.json`); this microbench isolates
+//! the decoder. The run also reports the ACS/traceback phase split (via
+//! `decode_terminated_profiled`) and which kernel the decoder's auto
+//! dispatch selected on this machine. Alongside the criterion timings
+//! it writes a `BENCH_viterbi_acs.json` snapshot at the repo root with
+//! the host's thread count and SIMD CPU flags.
 
 use std::time::{Duration, Instant};
 
@@ -86,8 +86,24 @@ fn run_kernel(
     dec.decode_terminated_with(kernel, soft, ws, out).expect("decode");
 }
 
-/// Writes the JSON snapshot consumed by future PRs' trajectory checks.
-fn write_snapshot(dispatch: &str, rows: &[(usize, String, &'static str, f64)]) {
+/// The host's x86 SIMD flags (the dispatch itself reads only `avx2`).
+fn cpu_flags() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    return [
+        ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+        ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+        ("avx512bw", std::arch::is_x86_feature_detected!("avx512bw")),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect();
+    #[cfg(not(target_arch = "x86_64"))]
+    Vec::new()
+}
+
+/// Writes the JSON snapshot: host, dispatch, per-tier rates and the
+/// auto tier's ACS share of decode time.
+fn write_snapshot(dispatch: &str, acs_share: f64, rows: &[(usize, String, &'static str, f64)]) {
     let mut entries = Vec::new();
     for (block_bits, kernel, input, bps) in rows {
         entries.push(format!(
@@ -95,9 +111,14 @@ fn write_snapshot(dispatch: &str, rows: &[(usize, String, &'static str, f64)]) {
              \"input\": \"{input}\", \"info_bits_per_sec\": {bps:.0}}}"
         ));
     }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let flags: Vec<String> = cpu_flags().iter().map(|f| format!("\"{f}\"")).collect();
     let json = format!(
         "{{\n  \"bench\": \"fig_viterbi_acs\",\n  \"code\": \"K=7 133/171 r=1/2\",\n  \
-         \"auto_dispatch\": \"{dispatch}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"host_threads\": {threads},\n  \"cpu_flags\": [{}],\n  \
+         \"auto_dispatch\": \"{dispatch}\",\n  \"acs_share\": {acs_share:.3},\n  \
+         \"results\": [\n{}\n  ]\n}}\n",
+        flags.join(", "),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_viterbi_acs.json");
@@ -146,10 +167,9 @@ fn bench(c: &mut Criterion) {
             eprintln!("{line}");
         }
     }
-    write_snapshot(dispatch, &rows);
 
     // ACS vs traceback phase split of the auto-dispatched kernel.
-    {
+    let acs_share = {
         let info = info_bits(BLOCK_BITS[1]);
         let soft = coded_llrs(&info, true);
         let mut ws = ViterbiWorkspace::new();
@@ -164,14 +184,16 @@ fn bench(c: &mut Criterion) {
             tb += p.traceback;
             kernel = p.kernel;
         }
-        let total = (acs + tb).as_secs_f64().max(1e-12);
+        let share = acs.as_secs_f64() / (acs + tb).as_secs_f64().max(1e-12);
         eprintln!(
             "phase split ({kernel}, {}-bit blocks): ACS {:.1}% | traceback {:.1}%",
             BLOCK_BITS[1],
-            100.0 * acs.as_secs_f64() / total,
-            100.0 * tb.as_secs_f64() / total,
+            100.0 * share,
+            100.0 * (1.0 - share),
         );
-    }
+        share
+    };
+    write_snapshot(dispatch, acs_share, &rows);
 
     // Criterion wrappers: per-block decode latency for each kernel.
     let mut group = c.benchmark_group("fig10_viterbi_acs");

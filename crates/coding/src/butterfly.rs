@@ -22,8 +22,10 @@
 //! * **Ping-pong metric rows.** Path metrics live in two flat `i32`
 //!   rows swapped per branch, renormalized every
 //!   [`NORM_INTERVAL`] branches by subtracting the row maximum — a
-//!   uniform shift that cannot change any compare, exactly like the
-//!   modulo/rescale normalization of a fixed-width hardware ACS.
+//!   uniform shift that cannot change any compare, like the rescale of
+//!   a fixed-width hardware ACS. (The 16-lane tier in module `simd`
+//!   uses modulo normalisation on `i16` instead and writes this
+//!   module's survivor words, read back by the same traceback.)
 //! * **Bitmask survivors.** Because each successor has exactly two
 //!   candidate predecessors, one decision *bit* per state suffices: a
 //!   branch's decisions pack into `⌈S/64⌉` `u64` words (one word for
@@ -33,7 +35,7 @@
 //! The kernel is exact: decisions, tie-breaks (lower predecessor wins,
 //! matching the scalar kernel's iteration order) and therefore decoded
 //! outputs are **bit-identical** to the reference scalar kernel
-//! whenever [`ButterflyTrellis::safe_for`] accepts the input (LLR
+//! whenever [`ButterflyTrellis::exact_for`] accepts the input (LLR
 //! magnitudes small enough that `i32` path metrics cannot wrap between
 //! renormalizations — every sane demapper output qualifies; the
 //! dispatcher falls back to the scalar kernel otherwise).
@@ -43,7 +45,7 @@ use crate::{CodeSpec, Llr};
 /// Branches between metric renormalizations. Must exceed `K - 1` (≤ 8)
 /// so the start-up `NEG_INF` padding has died out before the first
 /// uniform shift, and small enough that metrics cannot overflow in
-/// between (see [`ButterflyTrellis::safe_for`]).
+/// between (see [`ButterflyTrellis::exact_for`]).
 pub(crate) const NORM_INTERVAL: usize = 64;
 
 /// Sentinel for an unreachable state in the `i32` metric rows. Real
@@ -57,7 +59,7 @@ pub(crate) const NEG_INF_I32: i32 = i32::MIN / 4;
 /// wrapping: `NORM_INTERVAL` branches of drift plus the trellis spread
 /// stay well inside `i32` range, and the `NEG_INF_I32` floor keeps its
 /// margin (see the module docs for the arithmetic).
-const MAX_BRANCH_METRIC: i64 = 1 << 23;
+const MAX_BRANCH_METRIC: u32 = 1 << 23;
 
 /// Precomputed butterfly view of a [`CodeSpec`] trellis.
 #[derive(Debug, Clone)]
@@ -73,7 +75,7 @@ pub(crate) struct ButterflyTrellis {
     /// `2^(K-1)`.
     n_states: usize,
     /// Largest LLR magnitude the `i32` kernel accepts.
-    max_abs_llr: i64,
+    max_abs_llr: u32,
 }
 
 impl ButterflyTrellis {
@@ -111,7 +113,7 @@ impl ButterflyTrellis {
             table_len: 1 << n_out,
             constraint_length: spec.constraint_length(),
             n_states,
-            max_abs_llr: MAX_BRANCH_METRIC / n_out as i64,
+            max_abs_llr: MAX_BRANCH_METRIC / n_out as u32,
         })
     }
 
@@ -131,16 +133,16 @@ impl ButterflyTrellis {
     }
 
     /// The coded branch labels, one `[u8; 4]` per butterfly `j` in the
-    /// `coded[j][2*b + p]` layout — shared with the SIMD tier so both
-    /// `i32` kernels walk one table.
+    /// `coded[j][2*b + p]` layout — shared with the SIMD tier, which
+    /// builds its per-lane gather controls from it.
     pub(crate) fn labels(&self) -> &[[u8; 4]] {
         &self.coded
     }
 
-    /// Whether every LLR in `soft` is small enough for the `i32`
-    /// metric rows to be exact (no wrap between renormalizations).
-    pub(crate) fn safe_for(&self, soft: &[Llr]) -> bool {
-        soft.iter().all(|&l| (l as i64).abs() <= self.max_abs_llr)
+    /// Whether a block whose largest LLR magnitude is `peak` keeps the
+    /// `i32` metric rows exact (no wrap between renormalizations).
+    pub(crate) fn exact_for(&self, peak: u32) -> bool {
+        peak <= self.max_abs_llr
     }
 
     /// One add-compare-select step over all butterflies: consumes the

@@ -18,52 +18,25 @@
 //!   [`pilot_polarity`] for the pilot sequence.
 //! * [`bits`] — bit/byte packing helpers shared by the whole stack.
 //!
-//! # The butterfly ACS kernel
+//! # Viterbi kernel tiers
 //!
-//! The decode hot path is the Viterbi add-compare-select recursion —
-//! ~70 % of burst decode time in the software model, and the block the
-//! paper spends an entire pipelined ACS array on in hardware. The
-//! butterfly backend (module `butterfly`, private; the SIMD tier below
-//! runs the same walk eight lanes wide) restructures the recursion the
-//! same way the silicon does:
+//! The add-compare-select recursion is the block the paper spends a
+//! pipelined ACS array on. Three tiers run it, picked per decode at run
+//! time ([`ViterbiKernel`] has the selection rules, and
+//! [`ViterbiDecoder::kernel_name`] reports the pick); no cargo feature
+//! changes the choice, and every tier decodes bit-identically
+//! (`tests/proptests.rs`):
 //!
-//! * one **branch-metric table** per trellis step (`2^n` correlations,
-//!   not `states × 2 × n`),
-//! * a **radix-2 butterfly** walk over state pairs `2j`/`2j+1` → `j`,
-//!   `j+S/2`, each butterfly sharing its two loaded path metrics
-//!   between both compare-selects — the software image of the paper's
-//!   ACS array,
-//! * **`i32` ping-pong metric rows** renormalized by a uniform shift
-//!   every 64 branches (the fixed-width rescale of a hardware ACS),
-//! * **one survivor bit per state per branch**, packed into `u64`
-//!   words (64-state K=7 ⇒ one word per branch — the survivor RAM), so
-//!   traceback is a shift-and-mask walk instead of a pointer chase.
+//! | tier | metrics | structure | eligible |
+//! |---|---|---|---|
+//! | SIMD (module `simd`) | `i16`, modulo-normalised | whole-block forward pass, 16 butterflies per AVX2 register (portable twin elsewhere) | ≤ 3 outputs/input, ≥ 32 states, LLR magnitudes ≤ `(2^15 − 1) / (2·n·K)` |
+//! | butterfly (module `butterfly`) | `i32`, rescaled every 64 branches | radix-2 butterflies over a `2^n` branch-metric table | ≤ 8 outputs/input, LLR magnitudes ≤ `2^23 / n` |
+//! | scalar | `i64` | per state and input, the reference | any code |
 //!
-//! The scalar reference kernel is retained: an explicit
-//! [`ViterbiKernel::Scalar`] request always runs it (differential
-//! testing), and it serves as the automatic fallback for codes with
-//! more than 8 generators or LLRs beyond the `i32` exactness bound.
-//! Both kernels are bit-identical on every input the butterfly accepts
-//! — enforced by the property suite in `tests/proptests.rs`.
-//!
-//! # The SIMD lane tier
-//!
-//! For codes that fit its lanes (module `simd`, private), the
-//! butterfly walk runs eight butterflies per step in one `i32` register
-//! row: two contiguous loads pick up sixteen predecessor metrics, an
-//! in-register even/odd de-interleave forms the `2j`/`2j+1` vectors,
-//! the (≤ 8-entry) branch-metric table is gathered by an in-register
-//! permute over prebuilt label vectors, and the decision bits fall out
-//! of a sign-bit movemask straight into the survivor words. AVX2
-//! intrinsics are used when `is_x86_feature_detected!` reports support
-//! at run time; elsewhere a portable fixed-width-array tier (written
-//! for the autovectorizer) fills the same seam. Codes that do not fit
-//! the lanes — more than 3 output bits per input or fewer than 16
-//! states — stay on the scalar butterfly tier automatically.
-//! [`ViterbiKernel`] documents the full selection table, and
-//! `ViterbiDecoder::kernel_name` reports what `Auto` would dispatch.
-//! The choice is made per decode at run time; no cargo feature
-//! changes it.
+//! The two fast tiers share one survivor layout: one decision bit per
+//! state per branch, packed into `u64` words (one word per branch for
+//! the 64-state K=7 code — the survivor RAM), read back by one
+//! shift-and-mask traceback.
 
 pub mod bits;
 mod butterfly;

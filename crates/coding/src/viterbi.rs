@@ -5,29 +5,14 @@
 //! demapping", so the decoder accepts LLRs; hard decisions are just
 //! ±[`HARD_LLR`](crate::HARD_LLR).
 //!
-//! Three add-compare-select kernel tiers sit behind one dispatch (see
-//! [`ViterbiKernel`] for the selection table), chosen per decode at
-//! run time from the code shape, the LLR magnitudes and CPU detection:
-//!
-//! * The **SIMD tier** ([`crate::simd`]) — the default for codes whose
-//!   shape fits 8 metric lanes (≤ 3 output bits per input, ≥ 16
-//!   states): the butterfly walk with eight butterflies per step in one
-//!   register row, AVX2 intrinsics when the CPU has them at run time, a
-//!   portable fixed-width-array tier otherwise.
-//! * The **butterfly kernel** ([`crate::butterfly`]) — the scalar
-//!   radix-2 ACS butterfly walk with a per-branch metric table, `i32`
-//!   ping-pong metric rows and one-bit-per-state survivor masks,
-//!   mirroring the paper's ACS array + survivor RAM; the fallback for
-//!   codes that do not fit the lanes.
-//! * The **scalar kernel** — the original per-state/per-input loop over
-//!   `i64` metrics, the differential-testing reference
-//!   ([`ViterbiKernel::Scalar`]) and the automatic fallback for exotic
-//!   codes (more than 8 generators) or absurd LLR magnitudes (above
-//!   `2^23 / n`, where `i32` path metrics could wrap).
-//!
-//! All kernels make identical decisions (including tie-breaks), so
-//! their outputs are bit-identical — pinned by the crate's property
-//! suite.
+//! Three add-compare-select kernel tiers sit behind one dispatch,
+//! chosen per decode at run time from the code shape, the block's
+//! largest LLR and CPU detection ([`ViterbiKernel`] has the table):
+//! the 16-lane `i16` **SIMD tier** (module `simd`), the `i32`
+//! **butterfly kernel** (module `butterfly`) and the `i64` **scalar
+//! kernel**, the differential-testing reference. All make identical
+//! decisions, tie-breaks included, so their outputs are bit-identical —
+//! pinned by the crate's property suite.
 
 use crate::butterfly::{fill_bm_table, normalize_row, ButterflyTrellis, NEG_INF_I32, NORM_INTERVAL};
 use crate::simd::SimdTrellis;
@@ -35,11 +20,11 @@ use crate::{CodeSpec, CodingError, Llr};
 use std::time::{Duration, Instant};
 
 /// Preallocated working state for [`ViterbiDecoder`] — metric rows and
-/// survivor memory for the scalar kernel and the two `i32` tiers (the
-/// SIMD tier shares the butterfly buffers). One workspace per decoding
-/// thread lets the burst hot path decode with zero steady-state heap
-/// allocation: buffers grow to the largest block seen and are reused
-/// thereafter.
+/// survivor memory for the scalar and butterfly kernels (the SIMD tier
+/// keeps its metrics in registers and shares the butterfly survivor
+/// words). One workspace per decoding thread lets the burst hot path
+/// decode with zero steady-state heap allocation: buffers grow to the
+/// largest block seen and are reused thereafter.
 #[derive(Debug, Clone, Default)]
 pub struct ViterbiWorkspace {
     /// Scalar kernel: path metrics for the current branch.
@@ -142,9 +127,9 @@ pub struct ViterbiDecoder {
     transitions: Vec<[(u32, u32); 2]>,
     /// Radix-2 butterfly tables (`None` for codes with > 8 outputs).
     butterfly: Option<ButterflyTrellis>,
-    /// 8-lane SIMD view of the butterfly tables (`None` when the code
+    /// 16-lane `i16` view of the butterfly tables (`None` when the code
     /// shape does not fit the lanes).
-    simd: Option<SimdTrellis>,
+    pub(crate) simd: Option<SimdTrellis>,
 }
 
 /// Which add-compare-select kernel tier backs a decode — the
@@ -155,16 +140,17 @@ pub struct ViterbiDecoder {
 ///
 /// | tier        | needs                                                        |
 /// |-------------|--------------------------------------------------------------|
-/// | `simd`      | code fits 8 lanes (≤ 3 outputs/input, ≥ 16 states); AVX2 at  |
-/// |             | run time picks the intrinsic path, else the portable lanes   |
-/// | `butterfly` | ≤ 8 outputs/input                                            |
-/// | `scalar`    | anything (also the fallback when LLR magnitudes exceed the   |
-/// |             | `i32` tiers' exactness bound)                                |
+/// | `simd`      | ≤ 3 outputs/input, ≥ 32 states, and every LLR magnitude      |
+/// |             | within `⌊(2^15 − 1) / (2·n·K)⌋` (1170 for K=7 r=1/2); AVX2 at |
+/// |             | run time picks the intrinsic pass, else the portable twin    |
+/// | `butterfly` | ≤ 8 outputs/input and every LLR magnitude ≤ `2^23 / n`       |
+/// | `scalar`    | anything                                                     |
 ///
-/// `Auto` walks that table top-down. An explicit request starts at the
-/// row it names but still falls back down the table when the code or
-/// the LLRs disqualify that tier — kernel choice can affect only speed,
-/// never output.
+/// One scan of the block finds its largest LLR magnitude. `Auto` walks
+/// the table top-down. An explicit request starts at the row it names
+/// but still falls back down the table when the code or the LLRs
+/// disqualify that tier — kernel choice can affect only speed, never
+/// output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViterbiKernel {
     /// Best tier the CPU, code and LLRs allow (the default).
@@ -174,7 +160,7 @@ pub enum ViterbiKernel {
     Scalar,
     /// The scalar radix-2 butterfly kernel.
     Butterfly,
-    /// The 8-lane SIMD butterfly tier.
+    /// The 16-lane `i16` SIMD tier.
     Simd,
 }
 
@@ -192,28 +178,22 @@ pub struct DecodeProfile {
     pub kernel: &'static str,
 }
 
-/// One step-kernel binding: the butterfly tables plus (optionally) the
-/// SIMD lane tier layered on top. Every `i32` decode path runs through
-/// [`StepKernel::acs_step`], so tier choice is a single seam.
+/// The kernel tier one decode runs on, resolved from the request, the
+/// code shape and the block's largest LLR magnitude. The lane tier
+/// keeps the butterfly tables for its traceback.
 #[derive(Clone, Copy)]
-struct StepKernel<'a> {
-    bf: &'a ButterflyTrellis,
-    simd: Option<&'a SimdTrellis>,
+enum Tier<'a> {
+    Simd(&'a SimdTrellis, &'a ButterflyTrellis),
+    Butterfly(&'a ButterflyTrellis),
+    Scalar,
 }
 
-impl StepKernel<'_> {
-    #[inline]
-    fn acs_step(&self, bm: &[i32], cur: &[i32], nxt: &mut [i32], surv: &mut [u64]) {
-        match self.simd {
-            Some(s) => s.acs_step(bm, cur, nxt, surv),
-            None => self.bf.acs_step(bm, cur, nxt, surv),
-        }
-    }
-
+impl Tier<'_> {
     fn name(&self) -> &'static str {
-        match self.simd {
-            Some(s) => s.name(),
-            None => "butterfly",
+        match self {
+            Tier::Simd(s, _) => s.name(),
+            Tier::Butterfly(_) => "butterfly",
+            Tier::Scalar => "scalar",
         }
     }
 }
@@ -240,25 +220,22 @@ impl ViterbiDecoder {
         &self.spec
     }
 
-    /// The butterfly trellis whose `i32` arithmetic is exact for
-    /// `soft`, or `None` when the scalar fallback must run (a code with
-    /// too many generators, or LLR magnitudes beyond the `i32` kernel's
-    /// exactness bound) — the eligibility check under every tier.
+    /// Resolves a kernel request for `soft` (see [`ViterbiKernel`]):
+    /// one scan finds `max|LLR|`, which must fit the lane tier's `i16`
+    /// bound for `Simd` and the `i32` bound for `Butterfly`.
     #[inline]
-    fn butterfly_safe(&self, soft: &[Llr]) -> Option<&ButterflyTrellis> {
-        self.butterfly.as_ref().filter(|bf| bf.safe_for(soft))
-    }
-
-    /// Resolves an explicit kernel request for `soft` (see
-    /// [`ViterbiKernel`]): `None` means scalar.
-    #[inline]
-    fn step_kernel_with(&self, kernel: ViterbiKernel, soft: &[Llr]) -> Option<StepKernel<'_>> {
-        let simd = match kernel {
-            ViterbiKernel::Scalar => return None,
-            ViterbiKernel::Butterfly => None,
-            ViterbiKernel::Auto | ViterbiKernel::Simd => self.simd.as_ref(),
+    fn tier(&self, kernel: ViterbiKernel, soft: &[Llr]) -> Tier<'_> {
+        if kernel == ViterbiKernel::Scalar {
+            return Tier::Scalar;
+        }
+        let peak = soft.iter().map(|l| l.unsigned_abs()).max().unwrap_or(0);
+        let Some(bf) = self.butterfly.as_ref().filter(|bf| bf.exact_for(peak)) else {
+            return Tier::Scalar;
         };
-        self.butterfly_safe(soft).map(|bf| StepKernel { bf, simd })
+        match &self.simd {
+            Some(s) if kernel != ViterbiKernel::Butterfly && s.exact_for(peak) => Tier::Simd(s, bf),
+            _ => Tier::Butterfly(bf),
+        }
     }
 
     /// Name of the kernel tier [`ViterbiKernel::Auto`] would dispatch
@@ -266,8 +243,7 @@ impl ViterbiDecoder {
     /// `"simd-portable"` or `"simd-avx2"`. Benches record this so
     /// numbers from different hosts are interpretable.
     pub fn kernel_name(&self, soft: &[Llr]) -> &'static str {
-        self.step_kernel_with(ViterbiKernel::Auto, soft)
-            .map_or("scalar", |k| k.name())
+        self.tier(ViterbiKernel::Auto, soft).name()
     }
 
     /// Decodes a zero-terminated block (encoded with
@@ -318,16 +294,9 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
         let n_branches = self.validate_block(soft)?;
-        match self.step_kernel_with(kernel, soft) {
-            Some(k) => {
-                self.butterfly_acs_pass(k, soft, ws);
-                Self::butterfly_traceback(k.bf, n_branches, ws, out);
-            }
-            None => {
-                self.scalar_acs_pass(soft, ws);
-                self.scalar_traceback(n_branches, ws, out);
-            }
-        }
+        let tier = self.tier(kernel, soft);
+        self.acs_pass(tier, soft, ws);
+        self.traceback(tier, n_branches, ws, out);
         self.strip_flush(soft.len(), out)
     }
 
@@ -346,23 +315,17 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<DecodeProfile, CodingError> {
         let n_branches = self.validate_block(soft)?;
-        let kernel = self.step_kernel_with(ViterbiKernel::Auto, soft);
+        let tier = self.tier(ViterbiKernel::Auto, soft);
         let t0 = Instant::now();
-        match kernel {
-            Some(k) => self.butterfly_acs_pass(k, soft, ws),
-            None => self.scalar_acs_pass(soft, ws),
-        }
+        self.acs_pass(tier, soft, ws);
         let acs = t0.elapsed();
         let t1 = Instant::now();
-        match kernel {
-            Some(k) => Self::butterfly_traceback(k.bf, n_branches, ws, out),
-            None => self.scalar_traceback(n_branches, ws, out),
-        }
+        self.traceback(tier, n_branches, ws, out);
         self.strip_flush(soft.len(), out)?;
         Ok(DecodeProfile {
             acs,
             traceback: t1.elapsed(),
-            kernel: kernel.map_or("scalar", |k| k.name()),
+            kernel: tier.name(),
         })
     }
 
@@ -393,20 +356,50 @@ impl ViterbiDecoder {
         Ok(soft.len() / n_out)
     }
 
-    /// Forward pass of a butterfly-tier block decode: branch metrics +
-    /// add-compare-select into the workspace's survivor masks. `soft`
+    /// Forward pass of a block decode on `tier`: branch metrics +
+    /// add-compare-select into the workspace's survivor memory. `soft`
     /// must already be validated.
-    fn butterfly_acs_pass(&self, kernel: StepKernel<'_>, soft: &[Llr], ws: &mut ViterbiWorkspace) {
+    fn acs_pass(&self, tier: Tier<'_>, soft: &[Llr], ws: &mut ViterbiWorkspace) {
+        let n_branches = soft.len() / self.spec.outputs_per_input();
+        match tier {
+            Tier::Simd(s, bf) => {
+                ws.masks.resize(n_branches * bf.words_per_step(), 0);
+                s.forward(bf, soft, &mut ws.masks);
+            }
+            Tier::Butterfly(bf) => self.butterfly_acs_pass(bf, soft, ws),
+            Tier::Scalar => self.scalar_acs_pass(soft, ws),
+        }
+    }
+
+    /// Backward pass of a block decode on `tier`, from the terminated
+    /// end state 0. The lane tier writes the butterfly survivor layout.
+    fn traceback(
+        &self,
+        tier: Tier<'_>,
+        n_branches: usize,
+        ws: &mut ViterbiWorkspace,
+        out: &mut Vec<u8>,
+    ) {
+        match tier {
+            Tier::Simd(_, bf) | Tier::Butterfly(bf) => {
+                Self::butterfly_traceback(bf, n_branches, ws, out)
+            }
+            Tier::Scalar => self.scalar_traceback(n_branches, ws, out),
+        }
+    }
+
+    /// Forward pass of a butterfly-tier block decode.
+    fn butterfly_acs_pass(&self, bf: &ButterflyTrellis, soft: &[Llr], ws: &mut ViterbiWorkspace) {
         let n_out = self.spec.outputs_per_input();
         let n_branches = soft.len() / n_out;
-        let wps = kernel.bf.words_per_step();
+        let wps = bf.words_per_step();
 
-        ws.prepare_butterfly(n_branches, kernel.bf);
+        ws.prepare_butterfly(n_branches, bf);
         ws.row_cur[0] = 0;
 
         for t in 0..n_branches {
             fill_bm_table(&soft[t * n_out..(t + 1) * n_out], &mut ws.bm);
-            kernel.acs_step(
+            bf.acs_step(
                 &ws.bm,
                 &ws.row_cur,
                 &mut ws.row_next,

@@ -1,6 +1,7 @@
 //! Property-based tests across the coding pipeline, including the
 //! differential suites pinning the SIMD and butterfly ACS kernels
-//! bit-identical to the scalar reference kernel.
+//! bit-identical to the scalar reference kernel, and the SIMD tier's
+//! `i16` bound at its edge.
 
 use mimo_coding::{
     bits, depuncture, hard_to_llr, puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Llr,
@@ -63,6 +64,28 @@ fn random_code(k: usize, seed: u64) -> ViterbiDecoder {
 
 const ALL_TIERS: [ViterbiKernel; 3] =
     [ViterbiKernel::Simd, ViterbiKernel::Butterfly, ViterbiKernel::Scalar];
+
+/// The SIMD tier's `i16` exactness bound on LLR magnitudes for a code
+/// with constraint length `k` and `n` outputs per input:
+/// `⌊(2^15 − 1) / (2·n·K)⌋`.
+fn lane_bound(k: usize, n: usize) -> Llr {
+    Llr::from(i16::MAX) / (2 * n * k) as Llr
+}
+
+/// LLRs that maximise the metric spread: every value at ±`bound`, with
+/// random signs (`pattern` 0), alternating signs (1), random signs cut
+/// by runs of erasures (2), or uniform noise within the bound (3).
+fn bound_llrs(len: usize, bound: Llr, seed: u64, pattern: usize) -> Vec<Llr> {
+    let mut noise = Noise(seed | 1);
+    (0..len)
+        .map(|i| match pattern {
+            1 => [bound, -bound][i % 2],
+            2 if i / 8 % 3 == 0 => 0,
+            3 => noise.llr(bound.into()),
+            _ => [bound, -bound][(noise.next() & 1) as usize],
+        })
+        .collect()
+}
 
 proptest! {
     /// encode → decode is the identity for any input, any rate.
@@ -190,7 +213,7 @@ proptest! {
     /// generators). K runs to the supported maximum of 9 so the
     /// multi-word survivor-mask path (128/256 states, 2–4 `u64` words
     /// per step) is exercised, not just the single-word K ≤ 7 case;
-    /// codes too small for the lanes (K < 5) turn a `Simd` request
+    /// codes too small for the lanes (K < 6) turn a `Simd` request
     /// into the butterfly tier. Scales 1 and 4 force ties.
     #[test]
     fn butterfly_matches_scalar_for_random_codes(
@@ -234,8 +257,8 @@ proptest! {
         prop_assert_eq!(&outs[0], &outs[2]);
     }
 
-    /// SIMD equivalence holds for random simd-eligible codes (K ≥ 5 so
-    /// the state count fills the lanes), on pure random LLRs.
+    /// SIMD equivalence holds for random codes on pure random LLRs
+    /// (K ≥ 6 fills the lanes; K = 5 runs the butterfly tier).
     #[test]
     fn simd_matches_scalar_for_random_codes(
         k in 5usize..10,
@@ -251,15 +274,68 @@ proptest! {
     }
 }
 
+proptest! {
+    /// At the edge of the SIMD tier's bound, where the `i16` metric
+    /// spread is widest, every tier still decodes identically: the
+    /// paper's code and random K=6..=9 codes, every LLR at ±bound.
+    #[test]
+    fn simd_matches_scalar_at_the_lane_bound(
+        k in 6usize..10,
+        g_seed in any::<u64>(),
+        paper in any::<bool>(),
+        extra_branches in 0usize..200,
+        seed in any::<u64>(),
+        pattern in 0usize..3,
+    ) {
+        let dec = if paper {
+            ViterbiDecoder::new(CodeSpec::ieee80211a())
+        } else {
+            random_code(k, g_seed)
+        };
+        let k = dec.spec().constraint_length();
+        let soft = bound_llrs(2 * (k - 1 + extra_branches), lane_bound(k, 2), seed, pattern);
+        prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
+        let outs = decode_on(&dec, &ALL_TIERS, &soft);
+        prop_assert_eq!(&outs[0], &outs[2]);
+        prop_assert_eq!(&outs[1], &outs[2]);
+    }
+
+    /// The start-up handover from saturating to wrapping metrics:
+    /// blocks of exactly K−1, K and K+1 branches, and terminated blocks
+    /// of 24 info bits and of the 28-bit SIGNAL field.
+    #[test]
+    fn simd_matches_scalar_across_the_startup_handover(
+        k in 6usize..10,
+        g_seed in any::<u64>(),
+        len_idx in 0usize..5,
+        seed in any::<u64>(),
+        pattern in 0usize..4,
+    ) {
+        let dec = random_code(k, g_seed);
+        let n_branches = [k - 1, k, k + 1, 24 + k - 1, 28 + k - 1][len_idx];
+        let soft = bound_llrs(2 * n_branches, lane_bound(k, 2), seed, pattern);
+        let outs = decode_on(&dec, &ALL_TIERS, &soft);
+        prop_assert_eq!(&outs[0], &outs[2]);
+        prop_assert_eq!(&outs[1], &outs[2]);
+    }
+}
+
 #[test]
 fn kernel_name_reflects_dispatch() {
     let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
     let soft = vec![10 as Llr; 48];
     let name = dec.kernel_name(&soft);
     assert!(name.starts_with("simd-"), "got {name}");
+    // The SIMD tier takes LLR magnitudes up to its i16 bound (1170 for
+    // K=7 r=1/2); one more falls to the butterfly tier.
+    let bound = lane_bound(7, 2);
+    assert_eq!(bound, 1170);
+    assert!(dec.kernel_name(&[bound, -bound]).starts_with("simd-"));
+    assert_eq!(dec.kernel_name(&[bound + 1, 0]), "butterfly");
+    assert_eq!(dec.kernel_name(&[0, -bound - 1]), "butterfly");
     // LLRs beyond the i32 exactness bound always fall back to scalar.
     assert_eq!(dec.kernel_name(&[1 << 28, 0]), "scalar");
-    // K=3 has too few states for the 8-lane tier: butterfly at best.
+    // K=3 has too few states for the 16-lane tier: butterfly at best.
     let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap());
     assert_eq!(k3.kernel_name(&soft), "butterfly");
 }

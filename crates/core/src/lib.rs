@@ -141,12 +141,11 @@
 //!   single CPU — bit-identical to `receive_burst` in every schedule
 //!   (asserted by the `burst_pipeline` and `signal_field` suites).
 //!
-//! Throughput of the software model is tracked by the
-//! `fig_sw_throughput` bench (`cargo bench -p mimo_bench --bench
-//! fig_sw_throughput`), which measures end-to-end bursts/sec at the
-//! paper's named operating points **and at the rate-grid extremes**
-//! (BPSK r=1/2, 64-QAM r=3/4 via the auto-rate path), snapshotting to
-//! `BENCH_sw_throughput.json` at the repo root.
+//! Throughput of the software model is tracked by the repository's
+//! benchmark, the standalone `perfbench` package (defined by
+//! `BENCHMARK.json` at the repo root): seeded TX, RX and loopback
+//! workloads at the rate-grid extremes, reporting payload Mbit/s, burst
+//! latency and, with `--trace 1`, a per-layer breakdown.
 //!
 //! # Examples
 //!

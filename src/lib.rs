@@ -105,12 +105,12 @@
 //!   spatial channels out across scoped threads or runs them in order
 //!   (the default is parallel exactly on multi-CPU hosts); the two
 //!   schedules are bit-identical.
-//! * **Viterbi kernel.** Each decode picks the 8-lane SIMD tier (AVX2
-//!   behind runtime CPU detection, a portable-array tier elsewhere),
+//! * **Viterbi kernel.** Each decode picks the 16-lane `i16` SIMD tier
+//!   (AVX2 behind runtime CPU detection, a portable twin elsewhere),
 //!   the scalar butterfly or the scalar reference kernel from the code
-//!   shape and the LLR magnitudes; all three are decode-for-decode
-//!   bit-identical. [`coding::ViterbiKernel`] pins a tier for
-//!   differential runs.
+//!   shape and the block's largest LLR magnitude; all three are
+//!   decode-for-decode bit-identical. [`coding::ViterbiKernel`] pins a
+//!   tier for differential runs.
 pub use mimo_fixed as fixed;
 
 /// CORDIC rotation/vectoring engines with the paper's 20-cycle pipeline.
